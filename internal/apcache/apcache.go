@@ -352,6 +352,10 @@ func (ap *AP) account(op OpKind, n int) {
 	}
 }
 
+// flagBatches recycles the ⟨hash, flag⟩ scratch slices HandleDNS collects
+// a response's batch in before encoding it into the RR.
+var flagBatches = sync.Pool{New: func() any { return new([]dnswire.CacheEntry) }}
+
 // HandleDNS implements dnsd.Handler: plain queries go through the
 // forwarder; DNS-Cache queries additionally collect cache flags and may
 // short-circuit resolution with the dummy IP (§IV-B).
@@ -382,24 +386,15 @@ func (ap *AP) HandleDNS(from transport.Addr, query *dnswire.Message) *dnswire.Me
 		}()
 	}
 
-	// Collect flags: every hash the client asked about, merged with every
-	// URL the AP knows under the domain (batching, §IV-B).
-	requested, reqErr := dnswire.ParseCacheRR(reqRR)
-	known := ap.store.KnownHashesForDomain(domain)
-	flags := make(map[uint64]dnswire.CacheFlag, len(requested)+len(known))
-	if reqErr == nil {
-		for _, e := range requested {
-			flags[e.Hash] = ap.store.FlagByHash(e.Hash)
-		}
-	}
-	for _, e := range known {
-		flags[e.Hash] = e.Flag
-	}
-	entries := make([]dnswire.CacheEntry, 0, len(flags))
-	for h, f := range flags {
-		entries = append(entries, dnswire.CacheEntry{Hash: h, Flag: f})
-	}
+	// Collect flags: every URL the AP knows under the domain (batching,
+	// §IV-B) plus every hash the client asked about beyond those. A
+	// malformed request RR still gets the domain's batch.
+	requested, _ := dnswire.ParseCacheRR(reqRR)
+	bp := flagBatches.Get().(*[]dnswire.CacheEntry)
+	entries, anyMiss := ap.store.AppendDomainFlags((*bp)[:0], domain, requested)
 	resp.Additional = append(resp.Additional, dnswire.NewCacheRR(domain, dnswire.ClassCacheResponse, entries))
+	*bp = entries // NewCacheRR copied them out; keep any growth for the next query
+	flagBatches.Put(bp)
 
 	// Dummy-IP short-circuit (§IV-B "handling DNS resolution latency"):
 	// the client only ever dials the resolved IP when a flag says
@@ -408,14 +403,7 @@ func (ap *AP) HandleDNS(from transport.Addr, query *dnswire.Message) *dnswire.Me
 	// upstream resolution entirely and answers a non-routable IP with
 	// TTL 0. This is what keeps APE-CACHE lookups at one WiFi round
 	// trip regardless of upstream DNS state.
-	anyMiss := ap.cfg.DisableDummyIP
-	for _, f := range flags {
-		if f == dnswire.FlagCacheMiss {
-			anyMiss = true
-			break
-		}
-	}
-	if !anyMiss {
+	if !anyMiss && !ap.cfg.DisableDummyIP {
 		ap.tel.dummyHits.Inc()
 		resp.Answers = append(resp.Answers, dnswire.NewA(domain, 0, dnswire.DummyIP))
 		return resp

@@ -231,6 +231,45 @@ func TestBatchedFlagsCoverWholeDomain(t *testing.T) {
 	})
 }
 
+// TestDNSCacheResponseEntrySet pins the entry set of a DNS-Cache response
+// (its count fixes the datagram length): the domain's known URLs plus the
+// requested hashes beyond them, each exactly once even when the request
+// repeats a hash, and the known URLs alone when the request RR is
+// malformed.
+func TestDNSCacheResponseEntrySet(t *testing.T) {
+	run(t, func(fx *fixture) {
+		delegate(t, fx, fx.obj)
+		const unknown = 0xDEADBEEF
+		entriesOf := func(resp *dnswire.Message) []dnswire.CacheEntry {
+			rr, _ := resp.FindCacheRR(dnswire.ClassCacheResponse)
+			entries, err := dnswire.ParseCacheRR(rr)
+			if err != nil {
+				t.Errorf("ParseCacheRR: %v", err)
+			}
+			return entries
+		}
+
+		resp := cacheQuery(t, fx, unknown, fx.obj.Hash(), unknown)
+		got := entriesOf(resp)
+		flags := flagsOf(t, resp)
+		if len(got) != 2 || flags[fx.obj.Hash()] != dnswire.FlagCacheHit || flags[unknown] != dnswire.FlagDelegation {
+			t.Errorf("entries = %v, want the cached URL as Cache-Hit and the unknown hash as Delegation, once each", got)
+		}
+
+		q := dnswire.NewQuery(98, "api.t.example", dnswire.TypeA)
+		rr := dnswire.NewCacheRR("api.t.example", dnswire.ClassCacheRequest, []dnswire.CacheEntry{{Hash: unknown}})
+		rr.Data = rr.Data[:len(rr.Data)-1]
+		q.Additional = append(q.Additional, rr)
+		resp = fx.ap.HandleDNS(transport.Addr{Host: "client", Port: 9}, q)
+		if got := entriesOf(resp); len(got) != 1 || got[0] != (dnswire.CacheEntry{Hash: fx.obj.Hash(), Flag: dnswire.FlagCacheHit}) {
+			t.Errorf("malformed request: entries = %v, want only the domain's known URL", got)
+		}
+		if ip, ok := resp.AnswerA(); !ok || ip != dnswire.DummyIP {
+			t.Errorf("malformed request: answer = %v, want the dummy IP", ip)
+		}
+	})
+}
+
 func TestPlainDNSQueryForwardsUpstream(t *testing.T) {
 	run(t, func(fx *fixture) {
 		q := dnswire.NewQuery(7, "api.t.example", dnswire.TypeA)

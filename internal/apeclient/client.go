@@ -211,15 +211,10 @@ func (c *Client) lookup(domain string, trace telemetry.TraceID) (map[uint64]dnsw
 	id := uint16(c.cfg.Rng.Intn(1 << 16))
 	c.mu.Unlock()
 
-	// Build the DNS-Cache request: hashes of every registered URL under
-	// the domain (one query covers the whole batch an execution needs).
-	var entries []dnswire.CacheEntry
-	for _, cb := range c.cfg.Registry.ByDomain(domain) {
-		entries = append(entries, dnswire.CacheEntry{Hash: dnswire.HashURL(cb.ID)})
-	}
+	// One DNS-Cache request covers the whole batch an execution needs.
 	query := dnswire.NewQuery(id, domain, dnswire.TypeA)
 	query.Additional = append(query.Additional,
-		dnswire.NewCacheRR(domain, dnswire.ClassCacheRequest, entries))
+		dnswire.NewCacheRR(domain, dnswire.ClassCacheRequest, c.cfg.Registry.requestEntries(domain)))
 	if trace != 0 {
 		query.Additional = append(query.Additional, dnswire.NewTraceRR(domain, uint64(trace)))
 	}
@@ -234,12 +229,13 @@ func (c *Client) lookup(domain string, trace telemetry.TraceID) (map[uint64]dnsw
 		return nil, dnswire.IPv4{}, err
 	}
 
-	flags := make(map[uint64]dnswire.CacheFlag)
+	var flags map[uint64]dnswire.CacheFlag
 	if rr, ok := resp.FindCacheRR(dnswire.ClassCacheResponse); ok {
 		parsed, err := dnswire.ParseCacheRR(rr)
 		if err != nil {
 			return nil, dnswire.IPv4{}, err
 		}
+		flags = make(map[uint64]dnswire.CacheFlag, len(parsed))
 		for _, e := range parsed {
 			flags[e.Hash] = e.Flag
 		}

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -50,7 +51,15 @@ var (
 type Registry struct {
 	app        string
 	byID       map[string]Cacheable
+	byDomain   map[string]domainBatch
 	dependents map[string][]string
+}
+
+// domainBatch is one canonical domain's declarations in registration
+// order and the DNS-Cache request entry (hash) of each.
+type domainBatch struct {
+	decls   []Cacheable
+	request []dnswire.CacheEntry
 }
 
 // NewRegistry builds an empty registry for the named app.
@@ -58,6 +67,7 @@ func NewRegistry(app string) *Registry {
 	return &Registry{
 		app:        app,
 		byID:       make(map[string]Cacheable),
+		byDomain:   make(map[string]domainBatch),
 		dependents: make(map[string][]string),
 	}
 }
@@ -77,7 +87,16 @@ func (r *Registry) Register(c Cacheable) error {
 	if c.TTL <= 0 {
 		return fmt.Errorf("%w: non-positive ttl", ErrBadTag)
 	}
-	r.byID[dnswire.BasicURL(c.ID)] = c
+	id := dnswire.BasicURL(c.ID)
+	domain := dnswire.URLDomain(id)
+	b, entry := r.byDomain[domain], dnswire.CacheEntry{Hash: dnswire.HashURL(c.ID)}
+	if old, ok := r.byID[id]; ok { // re-registered: replace its slot
+		i := slices.Index(b.decls, old)
+		b.decls[i], b.request[i] = c, entry
+	} else {
+		b.decls, b.request = append(b.decls, c), append(b.request, entry)
+	}
+	r.byDomain[domain], r.byID[id] = b, c
 	return nil
 }
 
@@ -149,17 +168,15 @@ func (r *Registry) Lookup(rawURL string) (Cacheable, bool) {
 	return c, ok
 }
 
-// ByDomain returns every registered declaration under the given domain —
-// the batch the client sends in one DNS-Cache request.
+// ByDomain returns the declarations registered under the domain, in
+// registration order: the batch of one DNS-Cache request. Read-only.
 func (r *Registry) ByDomain(domain string) []Cacheable {
-	domain = dnswire.CanonicalName(domain)
-	var out []Cacheable
-	for _, c := range r.byID {
-		if dnswire.URLDomain(c.ID) == domain {
-			out = append(out, c)
-		}
-	}
-	return out
+	return r.byDomain[dnswire.CanonicalName(domain)].decls
+}
+
+// requestEntries returns that batch as request entries.
+func (r *Registry) requestEntries(domain string) []dnswire.CacheEntry {
+	return r.byDomain[dnswire.CanonicalName(domain)].request
 }
 
 // Len returns the number of registered declarations.

@@ -2,9 +2,11 @@ package apeclient
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"apecache/internal/dnswire"
 	"apecache/internal/objstore"
 )
 
@@ -95,5 +97,59 @@ func TestParseTagDefaultsPriorityLow(t *testing.T) {
 	}
 	if c.Priority != objstore.PriorityLow {
 		t.Errorf("Priority = %d, want low default", c.Priority)
+	}
+}
+
+// TestByDomainIndex pins the domain index behind lookups: ByDomain answers
+// in registration order under any spelling of the domain, re-registering
+// an ID replaces its slot instead of adding one, and the request entries
+// beside the declarations are the hashes the pre-index client computed per
+// lookup — HashURL of each declaration's ID, in ByDomain order.
+func TestByDomainIndex(t *testing.T) {
+	r := NewRegistry("shop")
+	ids := []string{
+		"http://api.shop.example/cart",
+		"http://API.Shop.Example/item?sku=1", // same domain, other spelling; params kept in the ID
+		"http://img.shop.example/banner",
+		"http://api.shop.example/price",
+	}
+	for _, id := range ids {
+		if err := r.Register(Cacheable{ID: id, Priority: 1, TTL: time.Minute}); err != nil {
+			t.Fatalf("Register(%s): %v", id, err)
+		}
+	}
+	// Re-register the first ID: new attributes, same slot.
+	if err := r.Register(Cacheable{ID: ids[0], Priority: 2, TTL: time.Hour}); err != nil {
+		t.Fatalf("re-Register: %v", err)
+	}
+	if r.Len() != 4 {
+		t.Errorf("Len = %d after a re-register, want 4", r.Len())
+	}
+
+	want := []Cacheable{
+		{ID: ids[0], Priority: 2, TTL: time.Hour},
+		{ID: ids[1], Priority: 1, TTL: time.Minute},
+		{ID: ids[3], Priority: 1, TTL: time.Minute},
+	}
+	for _, domain := range []string{"api.shop.example", "API.SHOP.EXAMPLE."} {
+		got := r.ByDomain(domain)
+		if !slices.Equal(got, want) {
+			t.Errorf("ByDomain(%s) = %+v, want %+v", domain, got, want)
+		}
+		entries := r.requestEntries(domain)
+		if len(entries) != len(want) {
+			t.Fatalf("requestEntries(%s) has %d entries, want %d", domain, len(entries), len(want))
+		}
+		for i, c := range want {
+			if entries[i] != (dnswire.CacheEntry{Hash: dnswire.HashURL(c.ID)}) {
+				t.Errorf("requestEntries(%s)[%d] = %+v, want the unflagged hash of %s", domain, i, entries[i], c.ID)
+			}
+		}
+	}
+	if got := r.ByDomain("img.shop.example"); len(got) != 1 || got[0].ID != ids[2] {
+		t.Errorf("ByDomain(img) = %+v", got)
+	}
+	if r.ByDomain("other.example") != nil || r.requestEntries("other.example") != nil {
+		t.Error("unregistered domain should have no batch")
 	}
 }

@@ -53,10 +53,12 @@ type domainIndex struct {
 	// without racing each other. Writers hold the store's write lock,
 	// which already excludes readers, but take repair too for symmetry.
 	repair sync.Mutex
-	// known maps every DNS-Cache hash ever seen under the domain to its
-	// basic URL (the batching set of §IV-B; mirrors the domain's slice of
-	// Store.byHash).
-	known map[uint64]string
+	// urls is the batching set of §IV-B — every URL ever seen under the
+	// domain, in first-seen order (mirrors the domain's slice of
+	// Store.byHash) — and known maps each one's DNS-Cache hash to its
+	// position. URLs are never forgotten, so positions are stable.
+	urls  []knownURL
+	known map[uint64]int
 	// hits counts resident, non-stale entries — the URLs whose flag is
 	// Cache-Hit provided they are still within TTL. The domain is fully
 	// cached iff hits == len(known), no resident entry has expired, and no
@@ -72,9 +74,18 @@ type domainIndex struct {
 	negative map[string]struct{}
 }
 
+// knownURL is one URL of a domain's batching set. entry mirrors
+// Store.entries[url] (nil while the URL is not resident), so a flag batch
+// walks the slice instead of looking every URL up.
+type knownURL struct {
+	hash  uint64
+	url   string
+	entry *Entry
+}
+
 func newDomainIndex() *domainIndex {
 	return &domainIndex{
-		known:    make(map[uint64]string),
+		known:    make(map[uint64]int),
 		negative: make(map[string]struct{}),
 	}
 }

@@ -12,6 +12,29 @@ import (
 	"apecache/internal/vclock"
 )
 
+// referenceFlag is the three-way classification as it was written before
+// flag batches took the clock and the resident entry as arguments: every
+// lookup by URL, the clock read where needed. The reference scans below
+// use it so they share no code with the store's lookup path.
+func referenceFlag(s *Store, url string) dnswire.CacheFlag {
+	if _, blocked := s.blocklist[url]; blocked {
+		return dnswire.FlagCacheMiss
+	}
+	if until, ok := s.negative[url]; ok && s.clock.Now().Before(until) {
+		return dnswire.FlagCacheMiss
+	}
+	if e, ok := s.entries[url]; ok && e.Fresh(s.clock.Now()) {
+		if e.Stale {
+			if e.StaleServed {
+				return dnswire.FlagDelegation
+			}
+			return dnswire.FlagStale
+		}
+		return dnswire.FlagCacheHit
+	}
+	return dnswire.FlagDelegation
+}
+
 // scratchKnown recomputes KnownHashesForDomain the way the pre-index store
 // did: a full scan over every hash ever seen. The incremental index must
 // agree with it after any mutation sequence.
@@ -22,10 +45,100 @@ func scratchKnown(s *Store, domain string) map[uint64]dnswire.CacheFlag {
 	out := make(map[uint64]dnswire.CacheFlag)
 	for h, url := range s.byHash {
 		if dnswire.URLDomain(url) == domain {
-			out[h] = s.flagLocked(url)
+			out[h] = referenceFlag(s, url)
 		}
 	}
 	return out
+}
+
+// referenceBatch is the map-merge AP.HandleDNS performed before
+// AppendDomainFlags existed: a flag per requested hash through the global
+// hash map (none when the request RR does not parse), overwritten by the
+// domain's whole known set, and a second pass over the merged map for the
+// dummy-IP decision.
+func referenceBatch(s *Store, domain string, reqRR dnswire.RR) (flags map[uint64]dnswire.CacheFlag, anyMiss bool) {
+	known := scratchKnown(s, domain)
+	requested, reqErr := dnswire.ParseCacheRR(reqRR)
+	flags = make(map[uint64]dnswire.CacheFlag, len(requested)+len(known))
+	if reqErr == nil {
+		s.mu.RLock()
+		for _, e := range requested {
+			flags[e.Hash] = dnswire.FlagDelegation
+			if url, ok := s.byHash[e.Hash]; ok {
+				flags[e.Hash] = referenceFlag(s, url)
+			}
+		}
+		s.mu.RUnlock()
+	}
+	for h, f := range known {
+		flags[h] = f
+	}
+	for _, f := range flags {
+		if f == dnswire.FlagCacheMiss {
+			anyMiss = true
+		}
+	}
+	return flags, anyMiss
+}
+
+// randomRequestRR builds a DNS-Cache request RR mixing hashes of the given
+// URLs (the asked domain's and other domains', seen by the store or not),
+// hashes no URL has, and repeats; one in eight is cut short so that it does
+// not parse.
+func randomRequestRR(rng *rand.Rand, domain string, urls []string) dnswire.RR {
+	var req []dnswire.CacheEntry
+	for range rng.Intn(12) {
+		switch rng.Intn(4) {
+		case 0:
+			req = append(req, dnswire.CacheEntry{Hash: rng.Uint64()})
+		case 1:
+			if len(req) > 0 {
+				req = append(req, req[rng.Intn(len(req))])
+				break
+			}
+			fallthrough
+		default:
+			req = append(req, dnswire.CacheEntry{Hash: dnswire.HashURL(urls[rng.Intn(len(urls))])})
+		}
+	}
+	rr := dnswire.NewCacheRR(domain, dnswire.ClassCacheRequest, req)
+	if len(rr.Data) > 0 && rng.Intn(8) == 0 {
+		rr.Data = rr.Data[:len(rr.Data)-1]
+	}
+	return rr
+}
+
+// checkFlagBatch asserts that AppendDomainFlags, called the way HandleDNS
+// calls it, appends exactly the reference merge — the same set, each hash
+// once, behind whatever dst already held — and takes the same dummy-IP
+// decision.
+func checkFlagBatch(t *testing.T, s *Store, domain string, reqRR dnswire.RR, step int, op string) {
+	t.Helper()
+	want, wantMiss := referenceBatch(s, domain, reqRR)
+	requested, _ := dnswire.ParseCacheRR(reqRR)
+	held := dnswire.CacheEntry{Hash: 1, Flag: dnswire.FlagCacheMiss}
+	batch, gotMiss := s.AppendDomainFlags([]dnswire.CacheEntry{held}, domain, requested)
+	if len(batch) == 0 || batch[0] != held {
+		t.Fatalf("step %d (%s) domain %s: dst prefix not preserved", step, op, domain)
+	}
+	got := make(map[uint64]dnswire.CacheFlag, len(batch))
+	for _, ce := range batch[1:] {
+		if _, dup := got[ce.Hash]; dup {
+			t.Fatalf("step %d (%s) domain %s: hash %d appended twice", step, op, domain, ce.Hash)
+		}
+		got[ce.Hash] = ce.Flag
+	}
+	if len(got) != len(want) {
+		t.Fatalf("step %d (%s) domain %s: batch has %d entries, map-merge %d", step, op, domain, len(got), len(want))
+	}
+	for h, f := range want {
+		if gf, ok := got[h]; !ok || gf != f {
+			t.Fatalf("step %d (%s) domain %s hash %d: batch flag %v (present %v), map-merge %v", step, op, domain, h, gf, ok, f)
+		}
+	}
+	if gotMiss != wantMiss {
+		t.Fatalf("step %d (%s) domain %s: anyMiss=%v, map-merge %v", step, op, domain, gotMiss, wantMiss)
+	}
 }
 
 // scratchFullyCached is the pre-index O(n) definition of the dummy-IP
@@ -65,14 +178,14 @@ func checkIndexAgreement(t *testing.T, s *Store, domains []string, step int, op 
 	}
 }
 
-// TestDomainIndexAgreesWithScratchScan drives the store through random
-// mutation sequences — puts, refreshes, TTL expiry (with and without
-// sweeps), coherence purges in every flavour, stale serves, revalidations,
-// deletions — and after every operation asserts that the incrementally
-// maintained per-domain index gives exactly the answers a from-scratch
-// scan over all known hashes gives.
-func TestDomainIndexAgreesWithScratchScan(t *testing.T) {
-	domains := []string{"a.example", "b.example", "c.example"}
+// driveRandomStore runs eight seeded random mutation sequences over a
+// small store — puts, refreshes, capacity evictions, TTL expiry (with and
+// without sweeps), coherence purges in every flavour, stale serves,
+// revalidations, deletions — and calls check after every operation. One
+// put in blockOneIn (0: none) is over the object limit and block-lists its
+// URL, resident or not.
+func driveRandomStore(t *testing.T, domains []string, blockOneIn int, check func(s *Store, urls []string, step int, op string)) {
+	t.Helper()
 	var urls []string
 	for _, d := range domains {
 		for p := 0; p < 4; p++ {
@@ -84,7 +197,7 @@ func TestDomainIndexAgreesWithScratchScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sim := vclock.NewSim(time.Time{})
 		sim.Run("main", func() {
-			s := NewStore(sim, 32<<10, 0, NewPACM(), nil)
+			s := NewStore(sim, 32<<10, 8<<10, NewPACM(), nil)
 			s.SetNegativeTTL(45 * time.Second)
 			version := make(map[string]int64)
 
@@ -95,7 +208,11 @@ func TestDomainIndexAgreesWithScratchScan(t *testing.T) {
 				case 0, 1, 2: // put (insert or refresh)
 					op = "put"
 					version[url]++
-					obj := testObj(url, dnswire.URLDomain(url), 512+rng.Intn(3<<10), 1+rng.Intn(3),
+					size := 512 + rng.Intn(3<<10)
+					if blockOneIn > 0 && rng.Intn(blockOneIn) == 0 {
+						op, size = "put-oversized", 9<<10
+					}
+					obj := testObj(url, dnswire.URLDomain(url), size, 1+rng.Intn(3),
 						time.Duration(30+rng.Intn(240))*time.Second)
 					obj.Version = version[url]
 					_ = s.Put(obj, make([]byte, obj.Size), time.Duration(5+rng.Intn(40))*time.Millisecond)
@@ -122,10 +239,37 @@ func TestDomainIndexAgreesWithScratchScan(t *testing.T) {
 					op = "get"
 					_, _ = s.Get(url)
 				}
-				checkIndexAgreement(t, s, domains, step, op)
+				check(s, urls, step, op)
 			}
 		})
 	}
+}
+
+// TestDomainIndexAgreesWithScratchScan asserts, after every operation of
+// the random drive, that the incrementally maintained per-domain index
+// gives exactly the answers a from-scratch scan over all known hashes
+// gives.
+func TestDomainIndexAgreesWithScratchScan(t *testing.T) {
+	domains := []string{"a.example", "b.example", "c.example"}
+	driveRandomStore(t, domains, 0, func(s *Store, _ []string, step int, op string) {
+		checkIndexAgreement(t, s, domains, step, op)
+	})
+}
+
+// TestFlagBatchEqualsMapMerge asserts, after every operation of the random
+// drive (block-listing included), that the flag batch of a random
+// DNS-Cache request — for each driven domain and for one the store never
+// hears of, asked in non-canonical spelling — equals the map-merge
+// HandleDNS used to build, dummy-IP decision included.
+func TestFlagBatchEqualsMapMerge(t *testing.T) {
+	domains := []string{"a.example", "b.example", "c.example"}
+	reqRng := rand.New(rand.NewSource(99))
+	driveRandomStore(t, domains, 6, func(s *Store, urls []string, step int, op string) {
+		askable := append([]string{"http://d.example/obj/0", "http://d.example/obj/1"}, urls...)
+		for _, d := range append([]string{"D.Example."}, domains...) {
+			checkFlagBatch(t, s, d, randomRequestRR(reqRng, d, askable), step, op)
+		}
+	})
 }
 
 // TestStoreConcurrentAccess hammers every read-path method concurrently
@@ -178,7 +322,10 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				case 8:
 					_ = s.FlagByHash(dnswire.HashURL(url))
 				case 9:
-					_ = s.KnownHashesForDomain(domains[rng.Intn(len(domains))])
+					d := domains[rng.Intn(len(domains))]
+					requested := append(s.KnownHashesForDomain(d),
+						dnswire.CacheEntry{Hash: dnswire.HashURL(url)}, dnswire.CacheEntry{Hash: rng.Uint64()})
+					_, _ = s.AppendDomainFlags(nil, d, requested)
 				case 10:
 					_ = s.DomainFullyCached(domains[rng.Intn(len(domains))])
 				case 11:

@@ -1,8 +1,10 @@
 package cachepolicy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -228,19 +230,21 @@ func (s *Store) Len() int {
 func (s *Store) Flag(url string) dnswire.CacheFlag {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.flagLocked(url)
+	return s.flagAt(url, s.entries[url], s.clock.Now())
 }
 
-func (s *Store) flagLocked(url string) dnswire.CacheFlag {
+// flagAt classifies url as of now, given its resident entry e (nil when
+// there is none). Callers hold at least the read lock.
+func (s *Store) flagAt(url string, e *Entry, now time.Time) dnswire.CacheFlag {
 	if _, blocked := s.blocklist[url]; blocked {
 		return dnswire.FlagCacheMiss
 	}
-	if until, ok := s.negative[url]; ok && s.clock.Now().Before(until) {
+	if until, ok := s.negative[url]; ok && now.Before(until) {
 		// Purged-and-gone: refetching would only 410 at the origin, so
 		// steer the client away from both AP and delegation.
 		return dnswire.FlagCacheMiss
 	}
-	if e, ok := s.entries[url]; ok && e.Fresh(s.clock.Now()) {
+	if e != nil && e.Fresh(now) {
 		if e.Stale {
 			if e.StaleServed {
 				// The one allowed stale serve is spent; the client must
@@ -254,36 +258,69 @@ func (s *Store) flagLocked(url string) dnswire.CacheFlag {
 	return dnswire.FlagDelegation
 }
 
-// FlagByHash resolves a hashed URL from a DNS-Cache request. Unknown
-// hashes are Delegation (the AP has never seen the URL; it will learn it
-// when the client delegates).
-func (s *Store) FlagByHash(h uint64) dnswire.CacheFlag {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// flagByHashAt resolves a hashed URL as of now. Unknown hashes are
+// Delegation (the AP has never seen the URL; it will learn it when the
+// client delegates). Callers hold at least the read lock.
+func (s *Store) flagByHashAt(h uint64, now time.Time) dnswire.CacheFlag {
 	if url, ok := s.byHash[h]; ok {
-		return s.flagLocked(url)
+		return s.flagAt(url, s.entries[url], now)
 	}
 	return dnswire.FlagDelegation
 }
 
-// KnownHashesForDomain returns the ⟨hash, flag⟩ entries for every URL the
-// store has ever seen under the domain — the batching behaviour of §IV-B
-// ("respond with the cache status for all URLs under the same domain").
-// Cost is proportional to the domain's entry count, not the total number
-// of hashes the AP has ever seen.
-func (s *Store) KnownHashesForDomain(domain string) []dnswire.CacheEntry {
+// FlagByHash resolves a hashed URL from a DNS-Cache request.
+func (s *Store) FlagByHash(h uint64) dnswire.CacheFlag {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	domain = dnswire.CanonicalName(domain)
-	di := s.domains[domain]
-	if di == nil || len(di.known) == 0 {
-		return nil
+	return s.flagByHashAt(h, s.clock.Now())
+}
+
+// AppendDomainFlags appends the flag batch of one DNS-Cache response to
+// dst: ⟨hash, flag⟩ for every URL the store has ever seen under the domain
+// — the batching behaviour of §IV-B ("respond with the cache status for
+// all URLs under the same domain") — then for every requested hash the
+// domain index does not cover, each hash once. It also reports whether any
+// appended flag is Cache-Miss (the dummy-IP decision). The whole batch is
+// one consistent snapshot: a single read lock, the clock read once. Cost is
+// proportional to the batch, not to the number of hashes the AP has seen.
+func (s *Store) AppendDomainFlags(dst []dnswire.CacheEntry, domain string, requested []dnswire.CacheEntry) (batch []dnswire.CacheEntry, anyMiss bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	now := s.clock.Now()
+	di := s.domains[dnswire.CanonicalName(domain)]
+	if di == nil {
+		di = &domainIndex{} // nothing seen under the domain yet
 	}
-	out := make([]dnswire.CacheEntry, 0, len(di.known))
-	for h, url := range di.known {
-		out = append(out, dnswire.CacheEntry{Hash: h, Flag: s.flagLocked(url)})
+	dst = slices.Grow(dst, len(di.urls)+len(requested))
+	for i := range di.urls {
+		k := &di.urls[i]
+		f := s.flagAt(k.url, k.entry, now)
+		dst = append(dst, dnswire.CacheEntry{Hash: k.hash, Flag: f})
+		anyMiss = anyMiss || f == dnswire.FlagCacheMiss
 	}
-	return out
+	extra := len(dst)
+	for _, e := range requested {
+		if _, covered := di.known[e.Hash]; covered {
+			continue
+		}
+		f := s.flagByHashAt(e.Hash, now)
+		dst = append(dst, dnswire.CacheEntry{Hash: e.Hash, Flag: f})
+		anyMiss = anyMiss || f == dnswire.FlagCacheMiss
+	}
+	if tail := dst[extra:]; len(tail) > 1 {
+		// A request may repeat a hash; equal hashes carry equal flags, so
+		// sorting the uncovered tail and compacting it keeps each once.
+		slices.SortFunc(tail, func(a, b dnswire.CacheEntry) int { return cmp.Compare(a.Hash, b.Hash) })
+		dst = dst[:extra+len(slices.Compact(tail))]
+	}
+	return dst, anyMiss
+}
+
+// KnownHashesForDomain returns the ⟨hash, flag⟩ entries for every URL the
+// store has ever seen under the domain, nil when it knows none.
+func (s *Store) KnownHashesForDomain(domain string) []dnswire.CacheEntry {
+	batch, _ := s.AppendDomainFlags(nil, domain, nil)
+	return batch
 }
 
 // DomainFullyCached reports whether every URL known under the domain is a
@@ -411,7 +448,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 			seq:          old.seq,
 		}
 		s.used += size - old.Size()
-		s.entries[obj.URL] = fresh
+		s.setResident(obj.URL, fresh)
 		s.pushExpiry(obj.URL, fresh.Expiry)
 		if old.Stale {
 			// Stale → fresh transition: the URL is a Cache-Hit again.
@@ -438,7 +475,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 		seq:          s.seq,
 	}
 	s.makeRoom(entry)
-	s.entries[obj.URL] = entry
+	s.setResident(obj.URL, entry)
 	s.indexKnown(obj.Hash(), obj.URL)
 	s.pushExpiry(obj.URL, entry.Expiry)
 	s.domainHitDelta(obj.URL, +1)
@@ -456,7 +493,29 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 func (s *Store) indexKnown(hash uint64, url string) {
 	s.byHash[hash] = url
 	di := s.domainFor(dnswire.URLDomain(url), true)
-	di.known[hash] = url
+	k := knownURL{hash: hash, url: url, entry: s.entries[url]}
+	if i, seen := di.known[hash]; !seen {
+		di.known[hash] = len(di.urls)
+		di.urls = append(di.urls, k)
+	} else if di.urls[i].url != url {
+		di.urls[i] = k // hash collision: the newer URL answers, as in byHash
+	}
+}
+
+// setResident installs url's resident entry (nil removes it) in the store
+// and beside the URL's slot in its domain index, where flag batches read it
+// without a lookup by URL. Callers hold the write lock.
+func (s *Store) setResident(url string, e *Entry) {
+	if e != nil {
+		s.entries[url] = e
+	} else {
+		delete(s.entries, url)
+	}
+	if di := s.domains[dnswire.URLDomain(url)]; di != nil {
+		if i, seen := di.known[dnswire.HashURL(url)]; seen && di.urls[i].url == url {
+			di.urls[i].entry = e
+		}
+	}
 }
 
 // pushExpiry records an entry's (new) expiry in the global heap and its
@@ -619,7 +678,7 @@ func (s *Store) removeEntry(url string) {
 		return
 	}
 	s.used -= e.Size()
-	delete(s.entries, url)
+	s.setResident(url, nil)
 	if !e.Stale {
 		s.domainHitDelta(url, -1)
 	}

@@ -307,6 +307,7 @@ func (h deadHost) ListenPacket(uint16) (transport.PacketConn, error) {
 func (h deadHost) Dial(transport.Addr) (transport.Stream, error) {
 	return nil, transport.ErrRefused
 }
+func (h deadHost) Now() time.Time { return time.Now() }
 
 // TestHubConcurrentSubscribePublishDispatch hammers subscribe, publish,
 // dispatch and stats from real goroutines under the race detector, on

@@ -17,10 +17,10 @@ import (
 	"apecache/internal/vclock"
 )
 
-// wireBufs recycles response encode buffers across queries. Both
-// transports copy the payload before returning (simnet into the delivery
-// queue, realnet into the socket), so a buffer can be reused as soon as
-// the write call returns.
+// wireBufs recycles encode buffers across messages (Serve's responses,
+// Query's queries). Both transports copy the payload before returning
+// (simnet into the delivery queue, realnet into the socket), so a buffer
+// can be reused as soon as the write call returns.
 var wireBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 2048)
 	return &b
@@ -204,16 +204,25 @@ func Query(host transport.Host, server transport.Addr, msg *dnswire.Message, tim
 		return nil, fmt.Errorf("dnsd query: %w", err)
 	}
 	defer pc.Close()
-	wire, err := msg.Encode()
+	bp := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(bp)
+	wire, err := msg.AppendEncode((*bp)[:0])
 	if err != nil {
 		return nil, fmt.Errorf("dnsd query encode: %w", err)
 	}
+	*bp = wire // keep any growth for the next query
 	if err := pc.WriteTo(wire, server); err != nil {
 		return nil, fmt.Errorf("dnsd query send: %w", err)
 	}
-	deadline := timeout
+	// One deadline bounds the whole exchange: datagrams that are dropped
+	// (garbage, another transaction's ID) must not buy more waiting time.
+	deadline := host.Now().Add(timeout)
 	for {
-		pkt, err := pc.ReadFromTimeout(deadline)
+		remaining := deadline.Sub(host.Now())
+		if remaining <= 0 {
+			return nil, fmt.Errorf("dnsd query %s @%s: %w", msg.FirstQuestion().Name, server, transport.ErrTimeout)
+		}
+		pkt, err := pc.ReadFromTimeout(remaining)
 		if err != nil {
 			return nil, fmt.Errorf("dnsd query %s @%s: %w", msg.FirstQuestion().Name, server, err)
 		}

@@ -1,11 +1,17 @@
 package dnsd
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"apecache/internal/dnswire"
+	"apecache/internal/realnet"
 	"apecache/internal/simnet"
 	"apecache/internal/transport"
 	"apecache/internal/vclock"
@@ -227,4 +233,124 @@ func TestQueryTimesOutAgainstSilentServer(t *testing.T) {
 			t.Errorf("timeout consumed %v, want 100ms", got)
 		}
 	})
+}
+
+// TestQueryDeadlineSurvivesWrongDatagrams pins that one deadline bounds the
+// whole exchange: a responder that keeps answering with another
+// transaction's ID (and with garbage) must not buy the query more waiting
+// time with every datagram it sends.
+func TestQueryDeadlineSurvivesWrongDatagrams(t *testing.T) {
+	sim := vclock.NewSim(time.Time{})
+	net := simnet.New(sim, 3)
+	net.SetLink("client", "liar", simnet.Path{Latency: time.Millisecond})
+	sim.Run("main", func() {
+		pc, err := net.Node("liar").ListenPacket(53)
+		if err != nil {
+			t.Errorf("listen: %v", err)
+			return
+		}
+		sim.Go("liar", func() {
+			pkt, err := pc.ReadFrom()
+			if err != nil {
+				return
+			}
+			query, err := dnswire.Decode(pkt.Payload)
+			if err != nil {
+				t.Errorf("liar decode: %v", err)
+				return
+			}
+			wrong := query.Reply()
+			wrong.Header.ID++
+			wire, _ := wrong.Encode()
+			// A wrong datagram every 30 ms for two seconds: always one
+			// inside any 100 ms window.
+			for i := range 66 {
+				if i%2 == 0 {
+					_ = pc.WriteTo(wire, pkt.From)
+				} else {
+					_ = pc.WriteTo([]byte("not dns"), pkt.From)
+				}
+				sim.Sleep(30 * time.Millisecond)
+			}
+		})
+		q := dnswire.NewQuery(3, "x.example", dnswire.TypeA)
+		start := sim.Now()
+		_, err = Query(net.Node("client"), transport.Addr{Host: "liar", Port: 53}, q, 100*time.Millisecond)
+		if !errors.Is(err, transport.ErrTimeout) {
+			t.Errorf("err = %v, want transport.ErrTimeout", err)
+		}
+		if got := sim.Now().Sub(start); got != 100*time.Millisecond {
+			t.Errorf("query gave up after %v, want 100ms", got)
+		}
+	})
+}
+
+// TestServePayloadsSurviveLaterReads sends 64 concurrent datagrams with
+// distinct payloads through Serve over real loopback sockets. Every handler
+// waits until all 64 have been read, so each payload has outlived many
+// later reads of the same socket by the time it is checked: a receive
+// buffer reused without a copy fails here (and trips the race detector).
+func TestServePayloadsSurviveLaterReads(t *testing.T) {
+	const n = 64
+	host := realnet.NewHost("")
+	env := &vclock.Real{}
+	pc, err := host.ListenPacket(0)
+	if err != nil {
+		t.Fatalf("ListenPacket: %v", err)
+	}
+	entriesFor := func(i int) []dnswire.CacheEntry {
+		entries := make([]dnswire.CacheEntry, 1+i) // distinct lengths too
+		for j := range entries {
+			entries[j] = dnswire.CacheEntry{Hash: uint64(i)<<32 | uint64(j)}
+		}
+		return entries
+	}
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	handler := HandlerFunc(func(_ transport.Addr, query *dnswire.Message) *dnswire.Message {
+		if arrived.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+			t.Errorf("only %d of %d queries reached a handler", arrived.Load(), n)
+		}
+		resp := query.Reply()
+		var i int
+		if _, err := fmt.Sscanf(query.FirstQuestion().Name, "q%d.example", &i); err != nil {
+			t.Errorf("question %q: %v", query.FirstQuestion().Name, err)
+			return resp
+		}
+		rr, _ := query.FindCacheRR(dnswire.ClassCacheRequest)
+		got, err := dnswire.ParseCacheRR(rr)
+		if err != nil || !slices.Equal(got, entriesFor(i)) {
+			t.Errorf("handler %d saw entries %v (err %v), not its own", i, got, err)
+		}
+		resp.Answers = append(resp.Answers, dnswire.NewA(query.FirstQuestion().Name, 0, dnswire.IPv4{10, 0, 0, byte(i)}))
+		return resp
+	})
+	env.Go("serve", func() { Serve(env, pc, handler) })
+
+	var clients sync.WaitGroup
+	for i := range n {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			name := fmt.Sprintf("q%d.example", i)
+			q := dnswire.NewQuery(uint16(1000+i), name, dnswire.TypeA)
+			q.Additional = append(q.Additional, dnswire.NewCacheRR(name, dnswire.ClassCacheRequest, entriesFor(i)))
+			resp, err := Query(host, pc.Addr(), q, 10*time.Second)
+			if err != nil {
+				t.Errorf("query %d: %v", i, err)
+				return
+			}
+			if ip, ok := resp.AnswerA(); !ok || ip != (dnswire.IPv4{10, 0, 0, byte(i)}) {
+				t.Errorf("query %d: answer %v, not its own", i, ip)
+			}
+		}()
+	}
+	clients.Wait()
+	pc.Close()
+	env.Wait()
 }

@@ -3,6 +3,7 @@ package perfbench
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"apecache/internal/coherence"
 	"apecache/internal/httplite"
@@ -25,10 +26,13 @@ var fanoutFleets = [2]int{64, 1024}
 // is the cheapest honest stand-in for "the network happens elsewhere".
 type deadEndHost struct{ name string }
 
-func (h deadEndHost) Name() string                                      { return h.name }
-func (h deadEndHost) Listen(uint16) (transport.Listener, error)         { return nil, transport.ErrRefused }
-func (h deadEndHost) ListenPacket(uint16) (transport.PacketConn, error) { return nil, transport.ErrRefused }
-func (h deadEndHost) Dial(transport.Addr) (transport.Stream, error)     { return nil, transport.ErrRefused }
+func (h deadEndHost) Name() string                              { return h.name }
+func (h deadEndHost) Listen(uint16) (transport.Listener, error) { return nil, transport.ErrRefused }
+func (h deadEndHost) ListenPacket(uint16) (transport.PacketConn, error) {
+	return nil, transport.ErrRefused
+}
+func (h deadEndHost) Dial(transport.Addr) (transport.Stream, error) { return nil, transport.ErrRefused }
+func (h deadEndHost) Now() time.Time                                { return time.Now() }
 
 // fanoutSubscribe registers n subscribers on the hub through the real
 // subscribe route. Sharded subscribers declare one domain each, so the

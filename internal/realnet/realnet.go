@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"strconv"
+	"sync"
 	"time"
 
 	"apecache/internal/transport"
@@ -49,8 +51,11 @@ func (h *Host) ListenPacket(port uint16) (transport.PacketConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("realnet listen-packet: %w", err)
 	}
-	return &packetConn{pc: pc}, nil
+	return &packetConn{pc: pc.(*net.UDPConn)}, nil
 }
+
+// Now implements transport.Host: real sockets run on the wall clock.
+func (h *Host) Now() time.Time { return time.Now() }
 
 // Dial implements transport.Host.
 func (h *Host) Dial(remote transport.Addr) (transport.Stream, error) {
@@ -141,17 +146,29 @@ func (s *stream) LocalAddr() transport.Addr      { return toAddr(s.c.LocalAddr()
 func (s *stream) RemoteAddr() transport.Addr     { return toAddr(s.c.RemoteAddr()) }
 
 type packetConn struct {
-	pc net.PacketConn
+	pc *net.UDPConn
 }
 
 var _ transport.PacketConn = (*packetConn)(nil)
 
+// readBufs recycles the maximum-datagram receive buffers: a read borrows
+// one for the syscall and hands its caller a right-sized copy, so the heap
+// cost of a datagram is its own length rather than 64 KiB.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, 64<<10)
+	return &b
+}}
+
 func (p *packetConn) WriteTo(payload []byte, to transport.Addr) error {
-	dst, err := net.ResolveUDPAddr("udp", to.String())
-	if err != nil {
-		return fmt.Errorf("realnet resolve %s: %w", to, err)
+	ip, err := netip.ParseAddr(to.Host)
+	if err != nil { // not an IP literal: resolve the name
+		dst, err := net.ResolveUDPAddr("udp", to.String())
+		if err != nil {
+			return fmt.Errorf("realnet resolve %s: %w", to, err)
+		}
+		ip = dst.AddrPort().Addr().Unmap()
 	}
-	_, err = p.pc.WriteTo(payload, dst)
+	_, err = p.pc.WriteToUDPAddrPort(payload, netip.AddrPortFrom(ip, to.Port))
 	return mapErr(err)
 }
 
@@ -171,12 +188,20 @@ func (p *packetConn) read(d time.Duration) (transport.Packet, error) {
 	if err := p.pc.SetReadDeadline(deadline); err != nil {
 		return transport.Packet{}, mapErr(err)
 	}
-	buf := make([]byte, 64<<10)
-	n, from, err := p.pc.ReadFrom(buf)
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	n, from, err := p.pc.ReadFromUDPAddrPort(*bp)
 	if err != nil {
 		return transport.Packet{}, mapErr(err)
 	}
-	return transport.Packet{From: toAddr(from), Payload: buf[:n]}, nil
+	// The copy is what lets the buffer go back to the pool: callers keep
+	// Payload past the next read (dnsd.Serve decodes it in a spawned task).
+	payload := make([]byte, n)
+	copy(payload, *bp)
+	return transport.Packet{
+		From:    transport.Addr{Host: from.Addr().Unmap().String(), Port: from.Port()},
+		Payload: payload,
+	}, nil
 }
 
 func (p *packetConn) Close() error         { return p.pc.Close() }

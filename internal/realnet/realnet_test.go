@@ -1,6 +1,7 @@
 package realnet
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"testing"
@@ -46,18 +47,22 @@ func TestStreamEchoOverLoopback(t *testing.T) {
 	}
 }
 
-func TestPacketRoundTrip(t *testing.T) {
+// packetPair binds two loopback UDP sockets, closed when the test ends.
+func packetPair(t *testing.T) (srv, cli transport.PacketConn) {
+	t.Helper()
 	h := NewHost("")
-	srv, err := h.ListenPacket(0)
-	if err != nil {
-		t.Fatalf("ListenPacket: %v", err)
+	for _, pc := range []*transport.PacketConn{&srv, &cli} {
+		var err error
+		if *pc, err = h.ListenPacket(0); err != nil {
+			t.Fatalf("ListenPacket: %v", err)
+		}
+		t.Cleanup(func() { (*pc).Close() })
 	}
-	defer srv.Close()
-	cli, err := h.ListenPacket(0)
-	if err != nil {
-		t.Fatalf("ListenPacket: %v", err)
-	}
-	defer cli.Close()
+	return srv, cli
+}
+
+func TestPacketRoundTrip(t *testing.T) {
+	srv, cli := packetPair(t)
 
 	if err := cli.WriteTo([]byte("query"), srv.Addr()); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -72,6 +77,50 @@ func TestPacketRoundTrip(t *testing.T) {
 	back, err := cli.ReadFromTimeout(2 * time.Second)
 	if err != nil || string(back.Payload) != "reply" {
 		t.Fatalf("reply = %q, %v", back.Payload, err)
+	}
+}
+
+// TestPacketPayloadsAreIndependent pins the copy behind the pooled receive
+// buffer: a packet's payload must not change when later reads reuse the
+// buffer it was received into.
+func TestPacketPayloadsAreIndependent(t *testing.T) {
+	srv, cli := packetPair(t)
+
+	var pkts []transport.Packet
+	for i := range 8 {
+		if err := cli.WriteTo(bytes.Repeat([]byte{byte('a' + i)}, 100+i), srv.Addr()); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		pkt, err := srv.ReadFromTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatalf("ReadFrom: %v", err)
+		}
+		if pkt.From != cli.Addr() {
+			t.Errorf("packet %d from %v, want %v", i, pkt.From, cli.Addr())
+		}
+		pkts = append(pkts, pkt)
+	}
+	for i, pkt := range pkts {
+		if want := bytes.Repeat([]byte{byte('a' + i)}, 100+i); !bytes.Equal(pkt.Payload, want) {
+			t.Errorf("packet %d changed after later reads: %q", i, pkt.Payload)
+		}
+	}
+}
+
+// TestPacketWriteToName pins the fallback for destinations that are not IP
+// literals: the name is resolved (from the hosts file here).
+func TestPacketWriteToName(t *testing.T) {
+	h := NewHost("")
+	srv, err := h.ListenPacket(0)
+	if err != nil {
+		t.Fatalf("ListenPacket: %v", err)
+	}
+	defer srv.Close()
+	if err := srv.WriteTo([]byte("self"), transport.Addr{Host: "localhost", Port: srv.Addr().Port}); err != nil {
+		t.Fatalf("WriteTo by name: %v", err)
+	}
+	if pkt, err := srv.ReadFromTimeout(2 * time.Second); err != nil || string(pkt.Payload) != "self" {
+		t.Fatalf("ReadFrom = %q, %v", pkt.Payload, err)
 	}
 }
 

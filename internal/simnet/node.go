@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"time"
 
 	"apecache/internal/transport"
 	"apecache/internal/vclock"
@@ -20,6 +21,9 @@ var _ transport.Host = (*Node)(nil)
 
 // Name implements transport.Host.
 func (nd *Node) Name() string { return nd.name }
+
+// Now implements transport.Host on the simulation's virtual clock.
+func (nd *Node) Now() time.Time { return nd.net.sim.Now() }
 
 // Addr returns the node's address with the given port.
 func (nd *Node) Addr(port uint16) transport.Addr {

@@ -93,4 +93,7 @@ type Host interface {
 	ListenPacket(port uint16) (PacketConn, error)
 	// Dial opens a stream to the remote address.
 	Dial(remote Addr) (Stream, error)
+	// Now reads the clock the host's timeouts run on (virtual under
+	// simnet), so a deadline spanning several reads can be kept.
+	Now() time.Time
 }
