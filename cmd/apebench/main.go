@@ -4,17 +4,15 @@
 //
 // Usage:
 //
-//	apebench [-scale 0.25] [-seed 1] [-list] [experiment ...]
-//	apebench -perf [-perfout BENCH_apcache.json]
+//	apebench [-scale 0.25] [-seed 1] [-list] [-json] [experiment ...]
 //
 // With no experiment arguments, everything runs in paper order. Scale
 // multiplies the one-hour workload durations (1.0 reproduces the paper's
 // full runs; smaller values trade precision for speed).
 //
-// -perf runs the benchmark trajectory harness instead: hot-path
-// microbenchmarks (lookup, admission, eviction, wire codec), the Fig-11
-// end-to-end latency sweeps, and the Table-4 hit-ratio invariants, all
-// recorded to a JSON trajectory file for comparison across changes.
+// apebench reports the simulator's reproductions; wall-clock performance
+// of the real-socket daemons is measured by the repository benchmark
+// (go run ./bench).
 package main
 
 import (
@@ -26,7 +24,6 @@ import (
 	"time"
 
 	"apecache/internal/experiments"
-	"apecache/internal/perfbench"
 )
 
 func main() {
@@ -34,17 +31,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
-	perf := flag.Bool("perf", false, "run the benchmark trajectory harness and write a JSON report")
-	perfOut := flag.String("perfout", "BENCH_apcache.json", "trajectory report path for -perf")
 	flag.Parse()
-
-	if *perf {
-		if err := runPerf(*scale, *seed, *perfOut); err != nil {
-			fmt.Fprintf(os.Stderr, "apebench: perf: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -105,27 +92,6 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// runPerf produces the perf trajectory report and writes it to path.
-func runPerf(scale float64, seed int64, path string) error {
-	report, err := perfbench.Run(perfbench.Config{Scale: scale, Seed: seed})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		return err
-	}
-	fmt.Print(report.Summary())
-	fmt.Printf("trajectory written to %s\n", path)
-	return nil
 }
 
 // jsonResult is the machine-readable experiment record emitted by -json.

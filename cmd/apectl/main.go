@@ -445,8 +445,8 @@ func runPeers(args []string) error {
 		return nil
 	}
 	var peers []struct {
-		Node       string `json:"node"`
-		Addr       struct {
+		Node string `json:"node"`
+		Addr struct {
 			Host string
 			Port uint16
 		} `json:"addr"`

@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"apecache/internal/cachepolicy"
-	"apecache/internal/decisionlog"
 	"apecache/internal/coherence"
+	"apecache/internal/decisionlog"
 	"apecache/internal/dnsd"
 	"apecache/internal/dnswire"
 	"apecache/internal/httplite"

@@ -73,34 +73,34 @@ func (ap *AP) Snapshot() Status {
 		missCauses = ap.ledger.Counts()
 	}
 	return Status{
-		DecisionLog: ap.ledger != nil,
-		MissCauses:  missCauses,
-		Coherence:      ap.cfg.Coherence.String(),
-		Purges:         purges,
-		Revalidations:  revalidations,
-		StaleServes:    stats.StaleServes,
-		StaleDrops:     stats.StaleDrops,
+		DecisionLog:     ap.ledger != nil,
+		MissCauses:      missCauses,
+		Coherence:       ap.cfg.Coherence.String(),
+		Purges:          purges,
+		Revalidations:   revalidations,
+		StaleServes:     stats.StaleServes,
+		StaleDrops:      stats.StaleDrops,
 		Mesh:            mesh,
 		PeerHits:        peerHits,
 		PeerFallbacks:   peerFallbacks,
 		PeerBytes:       peerBytes,
 		DelegationBytes: delegationBytes,
-		CacheUsedBytes: ap.store.Used(),
-		CacheCapacity:  ap.store.Capacity(),
-		Entries:        ap.store.Len(),
-		Insertions:     stats.Insertions,
-		Updates:        stats.Updates,
-		Evictions:      stats.Evictions,
-		Expired:        stats.Expired,
-		Blocked:        stats.Blocked,
-		Delegations:    delegations,
-		Prefetches:     prefetches,
-		DNSHits:        dnsHits,
-		DNSMisses:      dnsMisses,
-		Policy:         ap.cfg.Policy.Name(),
-		UptimeSec:      int64(ap.cfg.Env.Now().Sub(ap.started) / time.Second),
-		Gini:           gini,
-		PerApp:         perApp,
+		CacheUsedBytes:  ap.store.Used(),
+		CacheCapacity:   ap.store.Capacity(),
+		Entries:         ap.store.Len(),
+		Insertions:      stats.Insertions,
+		Updates:         stats.Updates,
+		Evictions:       stats.Evictions,
+		Expired:         stats.Expired,
+		Blocked:         stats.Blocked,
+		Delegations:     delegations,
+		Prefetches:      prefetches,
+		DNSHits:         dnsHits,
+		DNSMisses:       dnsMisses,
+		Policy:          ap.cfg.Policy.Name(),
+		UptimeSec:       int64(ap.cfg.Env.Now().Sub(ap.started) / time.Second),
+		Gini:            gini,
+		PerApp:          perApp,
 	}
 }
 

@@ -40,7 +40,7 @@ func (s *Store) Purge(url string, version int64, gone, keepStale bool) (resident
 		s.purged[url] = version
 	}
 	if gone {
-		s.setNegative(url, s.clock.Now().Add(s.negativeTTL))
+		s.negative[url] = s.clock.Now().Add(s.negativeTTL)
 	}
 	e, ok := s.entries[url]
 	if !ok || e.Version >= version {
@@ -65,11 +65,6 @@ func (s *Store) Purge(url string, version int64, gone, keepStale bool) (resident
 		s.ledger.Record(ev)
 	}
 	if keepStale && !gone {
-		if !e.Stale {
-			// Stale entries no longer count toward the domain's
-			// Cache-Hit set (a repeat purge must not decrement twice).
-			s.domainHitDelta(url, -1)
-		}
 		e.Stale = true
 		e.StaleServed = false
 		return true, true
@@ -126,14 +121,10 @@ func (s *Store) Revalidated(url string, version int64) bool {
 		return false
 	}
 	e.Version = version
-	if e.Stale {
-		// Stale -> fresh: the URL counts toward the domain's hit set again.
-		e.Stale = false
-		s.domainHitDelta(url, +1)
-	}
+	e.Stale = false
 	e.StaleServed = false
 	e.Expiry = s.clock.Now().Add(e.Object.TTL)
-	s.pushExpiry(url, e.Expiry)
+	s.expiries.push(url, e.Expiry)
 	if s.ledger != nil {
 		s.ledger.Record(s.ledgerEvent(decisionlog.OpRevalidate, e, s.clock.Now()))
 	}
@@ -146,7 +137,7 @@ func (s *Store) MarkGone(url string) {
 	url = dnswire.BasicURL(url)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.setNegative(url, s.clock.Now().Add(s.negativeTTL))
+	s.negative[url] = s.clock.Now().Add(s.negativeTTL)
 	if e, ok := s.entries[url]; ok {
 		if s.ledger != nil {
 			ev := s.ledgerEvent(decisionlog.OpPurge, e, s.clock.Now())

@@ -126,7 +126,7 @@ type StoreStats struct {
 // a block list for oversized objects, and a pluggable eviction policy.
 //
 // The hot lookup path — Flag, FlagByHash, KnownHashesForDomain,
-// DomainFullyCached, Get — runs under a read lock so concurrent DNS and
+// AppendDomainFlags, Get — runs under a read lock so concurrent DNS and
 // HTTP handlers never serialize against each other; only mutations (Put,
 // eviction, the sweeper, coherence purges) take the write side. Domain
 // queries are answered from an incrementally-maintained per-domain index
@@ -323,45 +323,6 @@ func (s *Store) KnownHashesForDomain(domain string) []dnswire.CacheEntry {
 	return batch
 }
 
-// DomainFullyCached reports whether every URL known under the domain is a
-// fresh cache hit (the dummy-IP short-circuit condition) — and at least
-// one is known. Answered in O(1) amortized from the per-domain index: the
-// hit counter must cover every known hash, no known URL may sit in an
-// active negative window, and the domain's earliest resident expiry (the
-// lazily-repaired heap top) must still be in the future.
-func (s *Store) DomainFullyCached(domain string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	domain = dnswire.CanonicalName(domain)
-	di := s.domains[domain]
-	if di == nil || len(di.known) == 0 {
-		return false
-	}
-	if di.hits != len(di.known) {
-		return false // some URL is evicted, blocked, or stale
-	}
-	now := s.clock.Now()
-	di.repair.Lock()
-	defer di.repair.Unlock()
-	for url := range di.negative {
-		until, ok := s.negative[url]
-		if ok && now.Before(until) {
-			return false // resident copy shadowed by a negative window
-		}
-		delete(di.negative, url) // window lapsed (or cleared): forget it
-	}
-	for di.expiries.Len() > 0 {
-		top := di.expiries[0]
-		e, ok := s.entries[top.url]
-		if !ok || e.Stale || !e.Expiry.Equal(top.expiry) {
-			popExpiry(&di.expiries) // superseded item
-			continue
-		}
-		return now.Before(top.expiry) // earliest live expiry decides
-	}
-	return false // hits > 0 but no live heap item: be conservative
-}
-
 // Get returns the entry for url if fresh and not purged, updating recency
 // without leaving the read path (the update rides on the entry already in
 // hand — no write lock, no second lookup). Purged entries are only
@@ -429,7 +390,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 	}
 	// A current-or-newer payload supersedes any negative-cache window (the
 	// object was re-created at the origin).
-	s.clearNegative(obj.URL)
+	delete(s.negative, obj.URL)
 
 	if old, ok := s.entries[obj.URL]; ok {
 		// Refresh: install a new entry rather than rewriting the old one,
@@ -449,11 +410,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 		}
 		s.used += size - old.Size()
 		s.setResident(obj.URL, fresh)
-		s.pushExpiry(obj.URL, fresh.Expiry)
-		if old.Stale {
-			// Stale → fresh transition: the URL is a Cache-Hit again.
-			s.domainHitDelta(obj.URL, +1)
-		}
+		s.expiries.push(obj.URL, fresh.Expiry)
 		s.stats.Updates++
 		s.tel.put(obj.URL, "update")
 		if s.ledger != nil {
@@ -477,8 +434,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 	s.makeRoom(entry)
 	s.setResident(obj.URL, entry)
 	s.indexKnown(obj.Hash(), obj.URL)
-	s.pushExpiry(obj.URL, entry.Expiry)
-	s.domainHitDelta(obj.URL, +1)
+	s.expiries.push(obj.URL, entry.Expiry)
 	s.used += size
 	s.stats.Insertions++
 	s.tel.put(obj.URL, "insert")
@@ -492,7 +448,12 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 // per-domain index. Callers hold the write lock.
 func (s *Store) indexKnown(hash uint64, url string) {
 	s.byHash[hash] = url
-	di := s.domainFor(dnswire.URLDomain(url), true)
+	domain := dnswire.URLDomain(url)
+	di := s.domains[domain]
+	if di == nil {
+		di = &domainIndex{known: make(map[uint64]int)}
+		s.domains[domain] = di
+	}
 	k := knownURL{hash: hash, url: url, entry: s.entries[url]}
 	if i, seen := di.known[hash]; !seen {
 		di.known[hash] = len(di.urls)
@@ -515,48 +476,6 @@ func (s *Store) setResident(url string, e *Entry) {
 		if i, seen := di.known[dnswire.HashURL(url)]; seen && di.urls[i].url == url {
 			di.urls[i].entry = e
 		}
-	}
-}
-
-// pushExpiry records an entry's (new) expiry in the global heap and its
-// domain's heap. Callers hold the write lock.
-func (s *Store) pushExpiry(url string, expiry time.Time) {
-	s.expiries.push(url, expiry)
-	di := s.domainFor(dnswire.URLDomain(url), true)
-	di.repair.Lock()
-	di.expiries.push(url, expiry)
-	di.repair.Unlock()
-}
-
-// domainHitDelta adjusts the domain's Cache-Hit candidate counter when a
-// URL's entry becomes (or stops being) resident-and-non-stale.
-func (s *Store) domainHitDelta(url string, delta int) {
-	if di := s.domainFor(dnswire.URLDomain(url), true); di != nil {
-		di.hits += delta
-	}
-}
-
-// setNegative opens a negative-cache window for url, mirroring it into the
-// domain index when the URL is known there. Callers hold the write lock.
-func (s *Store) setNegative(url string, until time.Time) {
-	s.negative[url] = until
-	domain := dnswire.URLDomain(url)
-	if di := s.domains[domain]; di != nil {
-		if _, known := di.known[dnswire.HashURL(url)]; known {
-			di.repair.Lock()
-			di.negative[url] = struct{}{}
-			di.repair.Unlock()
-		}
-	}
-}
-
-// clearNegative closes url's negative window in the store and the index.
-func (s *Store) clearNegative(url string) {
-	delete(s.negative, url)
-	if di := s.domains[dnswire.URLDomain(url)]; di != nil {
-		di.repair.Lock()
-		delete(di.negative, url)
-		di.repair.Unlock()
 	}
 }
 
@@ -679,9 +598,6 @@ func (s *Store) removeEntry(url string) {
 	}
 	s.used -= e.Size()
 	s.setResident(url, nil)
-	if !e.Stale {
-		s.domainHitDelta(url, -1)
-	}
 }
 
 // entriesSlice snapshots the resident entries.
@@ -715,7 +631,7 @@ func (s *Store) SweepExpired() int {
 	dropped := s.dropExpiredLocked(now)
 	for url, until := range s.negative {
 		if !now.Before(until) {
-			s.clearNegative(url)
+			delete(s.negative, url)
 		}
 	}
 	return dropped

@@ -157,16 +157,19 @@ func TestStoreDomainBatchingAndDummyIPCondition(t *testing.T) {
 				t.Errorf("entry flag = %v, want Cache-Hit", e.Flag)
 			}
 		}
-		if !s.DomainFullyCached("api.movie.example") {
-			t.Error("domain should be fully cached")
+		if got := s.KnownHashesForDomain("unknown.example"); got != nil {
+			t.Errorf("unknown domain batch = %v, want nil", got)
 		}
-		if s.DomainFullyCached("unknown.example") {
-			t.Error("unknown domain cannot be fully cached")
-		}
-		// Expire one object: the short-circuit condition must fail.
+		// Expire the objects: the batch keeps every URL, now as Delegation.
 		sim.Sleep(2 * time.Hour)
-		if s.DomainFullyCached("api.movie.example") {
-			t.Error("domain with expired entries reported fully cached")
+		entries = s.KnownHashesForDomain("api.movie.example")
+		if len(entries) != 2 {
+			t.Errorf("batched entries after expiry = %d, want 2", len(entries))
+		}
+		for _, e := range entries {
+			if e.Flag != dnswire.FlagDelegation {
+				t.Errorf("expired entry flag = %v, want Delegation", e.Flag)
+			}
 		}
 	})
 }

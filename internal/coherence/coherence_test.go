@@ -197,8 +197,8 @@ func TestHubResubscribeReplacesEndpoint(t *testing.T) {
 
 	apAddr := transport.Addr{Host: "ap1", Port: 8080}
 	subscribe(apAddr, "")
-	subscribe(apAddr, "")                    // same endpoint, same (default) path
-	subscribe(apAddr, "/purge-v2")           // restarted daemon, new path
+	subscribe(apAddr, "")          // same endpoint, same (default) path
+	subscribe(apAddr, "/purge-v2") // restarted daemon, new path
 	subscribe(transport.Addr{Host: "ap2", Port: 8080}, "")
 
 	if got := len(hub.Subscribers()); got != 2 {

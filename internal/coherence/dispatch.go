@@ -71,9 +71,9 @@ func (c DispatchConfig) withDefaults() DispatchConfig {
 
 // DispatchStats is a point-in-time view of the dispatcher.
 type DispatchStats struct {
-	Subscribers int   `json:"subscribers"`
-	Shards      int   `json:"shards"`
-	Workers     int   `json:"workers"`
+	Subscribers int `json:"subscribers"`
+	Shards      int `json:"shards"`
+	Workers     int `json:"workers"`
 	// Queued is the purge messages pending across all subscriber queues.
 	Queued int `json:"queued"`
 	// Batches counts wire POSTs attempted, Delivered the purge messages

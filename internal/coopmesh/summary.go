@@ -24,12 +24,12 @@ const (
 // deliveries); Generation counts coherence purges applied at the AP, so
 // two summaries with equal entry counts still differ after a purge.
 type Summary struct {
-	Node       string                  `json:"node"`
-	Addr       transport.Addr          `json:"addr"`
-	Seq        uint64                  `json:"seq"`
-	Generation uint64                  `json:"generation"`
-	Entries    int                     `json:"entries"`
-	Bloom      *Bloom                  `json:"bloom,omitempty"`
+	Node       string                   `json:"node"`
+	Addr       transport.Addr           `json:"addr"`
+	Seq        uint64                   `json:"seq"`
+	Generation uint64                   `json:"generation"`
+	Entries    int                      `json:"entries"`
+	Bloom      *Bloom                   `json:"bloom,omitempty"`
 	Domains    []cachepolicy.MeshDomain `json:"domains,omitempty"`
 }
 

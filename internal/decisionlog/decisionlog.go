@@ -187,8 +187,8 @@ type domainRing struct {
 // (Get holds the store's read lock) classify without serializing.
 type Ledger struct {
 	mu      sync.RWMutex
-	events  []Event // ring; slot for seq s is (s-1) % cap
-	seq     uint64  // last assigned seq (0 = empty)
+	events  []Event             // ring; slot for seq s is (s-1) % cap
+	seq     uint64              // last assigned seq (0 = empty)
 	byURL   map[uint64]*urlHist // keyed by dnswire.HashURL
 	domains map[string]*domainRing
 

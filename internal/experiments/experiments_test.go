@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -290,9 +292,11 @@ func TestFleetHealthBrownoutFiresAndResolves(t *testing.T) {
 }
 
 // TestEveryExperimentRunsAndProducesRows is the safety net: every
-// registered experiment must complete without error at tiny scale and
-// yield a non-empty table (run memoization keeps this cheap after the
-// targeted tests above).
+// registered experiment must complete without error at tiny scale, yield
+// a non-empty table, and render exactly its testdata/<id>.golden (run
+// memoization keeps this cheap after the targeted tests above). The
+// goldens are the regression fence: a change that is meant to leave the
+// simulator's behaviour alone must leave every rendering byte-identical.
 func TestEveryExperimentRunsAndProducesRows(t *testing.T) {
 	for _, e := range All() {
 		res, err := e.Run(RunConfig{Scale: tinyScale, Seed: 1})
@@ -311,7 +315,39 @@ func TestEveryExperimentRunsAndProducesRows(t *testing.T) {
 				t.Errorf("%s row %d has %d cells for %d headers", e.ID, ri, len(row), len(res.Header))
 			}
 		}
+		checkGolden(t, e.ID, res.Format())
 	}
+}
+
+// checkGolden compares one experiment's rendering with its golden file,
+// reporting the first differing line and logging the full rendering.
+func checkGolden(t *testing.T, id, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", id+".golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Errorf("%s: %v", id, err)
+		return
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines := strings.Split(got, "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("%s differs from %s at line %d:\n got: %q\nwant: %q", id, path, i+1, g, w)
+			break
+		}
+	}
+	t.Logf("%s full rendering:\n%s", id, got)
 }
 
 // mustRun executes one experiment at tiny scale.

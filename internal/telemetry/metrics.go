@@ -8,8 +8,7 @@
 // Hot-path cost is a design constraint: instruments are single atomic
 // operations, histograms are fixed-bucket (no sample slices), and every
 // instrument type is nil-safe so uninstrumented components pay only a
-// predicted branch. The perfbench telemetry micro enforces a <5%
-// regression gate on the AP request path.
+// predicted branch.
 package telemetry
 
 import (
