@@ -352,9 +352,12 @@ func (ap *AP) account(op OpKind, n int) {
 	}
 }
 
-// flagBatches recycles the ⟨hash, flag⟩ scratch slices HandleDNS collects
-// a response's batch in before encoding it into the RR.
-var flagBatches = sync.Pool{New: func() any { return new([]dnswire.CacheEntry) }}
+// dnsScratch is HandleDNS's per-query scratch: the hashes parsed from the
+// request RR and the ⟨hash, flag⟩ batch collected before it is encoded
+// into the response RR.
+type dnsScratch struct{ requested, batch []dnswire.CacheEntry }
+
+var dnsScratches = sync.Pool{New: func() any { return new(dnsScratch) }}
 
 // HandleDNS implements dnsd.Handler: plain queries go through the
 // forwarder; DNS-Cache queries additionally collect cache flags and may
@@ -389,12 +392,12 @@ func (ap *AP) HandleDNS(from transport.Addr, query *dnswire.Message) *dnswire.Me
 	// Collect flags: every URL the AP knows under the domain (batching,
 	// §IV-B) plus every hash the client asked about beyond those. A
 	// malformed request RR still gets the domain's batch.
-	requested, _ := dnswire.ParseCacheRR(reqRR)
-	bp := flagBatches.Get().(*[]dnswire.CacheEntry)
-	entries, anyMiss := ap.store.AppendDomainFlags((*bp)[:0], domain, requested)
-	resp.Additional = append(resp.Additional, dnswire.NewCacheRR(domain, dnswire.ClassCacheResponse, entries))
-	*bp = entries // NewCacheRR copied them out; keep any growth for the next query
-	flagBatches.Put(bp)
+	sc := dnsScratches.Get().(*dnsScratch)
+	sc.requested, _ = dnswire.AppendCacheEntries(sc.requested[:0], reqRR)
+	var anyMiss bool
+	sc.batch, anyMiss = ap.store.AppendDomainFlags(sc.batch[:0], domain, sc.requested)
+	resp.Additional = append(resp.Additional, dnswire.NewCacheRR(domain, dnswire.ClassCacheResponse, sc.batch))
+	dnsScratches.Put(sc) // NewCacheRR copied the batch out; keep the growth
 
 	// Dummy-IP short-circuit (§IV-B "handling DNS resolution latency"):
 	// the client only ever dials the resolved IP when a flag says

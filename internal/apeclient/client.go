@@ -88,7 +88,7 @@ type dnsCacheEntry struct {
 }
 
 type flagCacheEntry struct {
-	flags   map[uint64]dnswire.CacheFlag
+	flags   []dnswire.CacheEntry
 	fetched time.Time
 }
 
@@ -145,9 +145,11 @@ func (c *Client) Get(rawURL string) ([]byte, error) {
 	c.mu.Unlock()
 	c.tel.lookup(lookupElapsed)
 
-	flag, known := flags[dnswire.HashURL(basic)]
-	if !known {
-		flag = dnswire.FlagDelegation
+	flag, h := dnswire.FlagDelegation, dnswire.HashURL(basic)
+	for _, e := range flags {
+		if e.Hash == h {
+			flag = e.Flag // the last entry for a hash wins
+		}
 	}
 	c.mu.Lock()
 	c.stats.Hits.Record(cacheable.Priority, flag == dnswire.FlagCacheHit || flag == dnswire.FlagStale)
@@ -199,7 +201,7 @@ func (c *Client) Get(rawURL string) ([]byte, error) {
 // rides the query as an extra Type-300 RR and the exchange is recorded
 // as a dns-lookup span (flag-cache hits never touch the wire, so they
 // record nothing).
-func (c *Client) lookup(domain string, trace telemetry.TraceID) (map[uint64]dnswire.CacheFlag, dnswire.IPv4, error) {
+func (c *Client) lookup(domain string, trace telemetry.TraceID) ([]dnswire.CacheEntry, dnswire.IPv4, error) {
 	now := c.cfg.Env.Now()
 	c.mu.Lock()
 	fc, haveFlags := c.flags[domain]
@@ -213,8 +215,7 @@ func (c *Client) lookup(domain string, trace telemetry.TraceID) (map[uint64]dnsw
 
 	// One DNS-Cache request covers the whole batch an execution needs.
 	query := dnswire.NewQuery(id, domain, dnswire.TypeA)
-	query.Additional = append(query.Additional,
-		dnswire.NewCacheRR(domain, dnswire.ClassCacheRequest, c.cfg.Registry.requestEntries(domain)))
+	query.Additional = append(query.Additional, c.cfg.Registry.requestRR(domain))
 	if trace != 0 {
 		query.Additional = append(query.Additional, dnswire.NewTraceRR(domain, uint64(trace)))
 	}
@@ -229,15 +230,10 @@ func (c *Client) lookup(domain string, trace telemetry.TraceID) (map[uint64]dnsw
 		return nil, dnswire.IPv4{}, err
 	}
 
-	var flags map[uint64]dnswire.CacheFlag
+	var flags []dnswire.CacheEntry
 	if rr, ok := resp.FindCacheRR(dnswire.ClassCacheResponse); ok {
-		parsed, err := dnswire.ParseCacheRR(rr)
-		if err != nil {
+		if flags, err = dnswire.ParseCacheRR(rr); err != nil {
 			return nil, dnswire.IPv4{}, err
-		}
-		flags = make(map[uint64]dnswire.CacheFlag, len(parsed))
-		for _, e := range parsed {
-			flags[e.Hash] = e.Flag
 		}
 	}
 	c.mu.Lock()

@@ -212,8 +212,8 @@ func TestDummyIPShortCircuit(t *testing.T) {
 			t.Errorf("short-circuit lookup took %v, want 3ms (one WiFi RTT)", elapsed)
 		}
 		for _, f := range flags {
-			if f != dnswire.FlagCacheHit {
-				t.Errorf("flag = %v, want Cache-Hit", f)
+			if f.Flag != dnswire.FlagCacheHit {
+				t.Errorf("flag = %v, want Cache-Hit", f.Flag)
 			}
 		}
 	})

@@ -56,10 +56,12 @@ type Registry struct {
 }
 
 // domainBatch is one canonical domain's declarations in registration
-// order and the DNS-Cache request entry (hash) of each.
+// order, each one's request entry (hash), and the request RR carrying
+// them (encoded once per Register).
 type domainBatch struct {
 	decls   []Cacheable
 	request []dnswire.CacheEntry
+	rr      dnswire.RR
 }
 
 // NewRegistry builds an empty registry for the named app.
@@ -96,6 +98,7 @@ func (r *Registry) Register(c Cacheable) error {
 	} else {
 		b.decls, b.request = append(b.decls, c), append(b.request, entry)
 	}
+	b.rr = dnswire.NewCacheRR(domain, dnswire.ClassCacheRequest, b.request)
 	r.byDomain[domain], r.byID[id] = b, c
 	return nil
 }
@@ -174,9 +177,9 @@ func (r *Registry) ByDomain(domain string) []Cacheable {
 	return r.byDomain[dnswire.CanonicalName(domain)].decls
 }
 
-// requestEntries returns that batch as request entries.
-func (r *Registry) requestEntries(domain string) []dnswire.CacheEntry {
-	return r.byDomain[dnswire.CanonicalName(domain)].request
+// requestRR returns that batch as a DNS-Cache request RR. Read-only.
+func (r *Registry) requestRR(domain string) dnswire.RR {
+	return r.byDomain[dnswire.CanonicalName(domain)].rr
 }
 
 // Len returns the number of registered declarations.

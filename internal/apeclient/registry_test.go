@@ -136,20 +136,24 @@ func TestByDomainIndex(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("ByDomain(%s) = %+v, want %+v", domain, got, want)
 		}
-		entries := r.requestEntries(domain)
-		if len(entries) != len(want) {
-			t.Fatalf("requestEntries(%s) has %d entries, want %d", domain, len(entries), len(want))
+		rr := r.requestRR(domain)
+		if rr.Name != "api.shop.example" || rr.Class != dnswire.ClassCacheRequest {
+			t.Errorf("requestRR(%s) = %s class %d, want the canonical domain's request RR", domain, rr.Name, rr.Class)
+		}
+		entries, err := dnswire.ParseCacheRR(rr)
+		if err != nil || len(entries) != len(want) {
+			t.Fatalf("requestRR(%s) has %d entries (%v), want %d", domain, len(entries), err, len(want))
 		}
 		for i, c := range want {
 			if entries[i] != (dnswire.CacheEntry{Hash: dnswire.HashURL(c.ID)}) {
-				t.Errorf("requestEntries(%s)[%d] = %+v, want the unflagged hash of %s", domain, i, entries[i], c.ID)
+				t.Errorf("requestRR(%s) entry %d = %+v, want the unflagged hash of %s", domain, i, entries[i], c.ID)
 			}
 		}
 	}
 	if got := r.ByDomain("img.shop.example"); len(got) != 1 || got[0].ID != ids[2] {
 		t.Errorf("ByDomain(img) = %+v", got)
 	}
-	if r.ByDomain("other.example") != nil || r.requestEntries("other.example") != nil {
+	if r.ByDomain("other.example") != nil || r.requestRR("other.example").Data != nil {
 		t.Error("unregistered domain should have no batch")
 	}
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // benchEntries builds n entries with varied sizes/priorities/TTLs across
-// 8 apps, the shape the admission path sees on a loaded AP.
+// 8 apps, the shape the admission path sees on a loaded AP; like a
+// store's entries they carry app ids.
 func benchEntries(n int, now time.Time) []*Entry {
 	entries := make([]*Entry, n)
 	for i := range n {
@@ -22,6 +23,7 @@ func benchEntries(n int, now time.Time) []*Entry {
 			time.Duration(5+i%40)*time.Millisecond,
 			now)
 		entries[i].Hits = i % 9
+		entries[i].appID = uint32(i%8 + 1)
 	}
 	return entries
 }
@@ -49,24 +51,32 @@ func BenchmarkSolveKeepSetDP256(b *testing.B) {
 }
 
 // BenchmarkSelectVictims measures the heapified incremental admission path
-// on a full store (the per-Put cost that used to be a full sort).
+// on a full store (the per-Put cost that used to be a full sort). 320
+// entries is the resident count of the repository benchmark's miss-churn
+// workload.
 func BenchmarkSelectVictims(b *testing.B) {
-	sim := vclock.NewSim(time.Time{})
-	sim.Run("main", func() {
-		f := NewFreqTracker(sim, 0.7, time.Minute)
-		now := sim.Now()
-		entries := benchEntries(1024, now)
-		var total int64
-		for _, e := range entries {
-			total += e.Size()
-		}
-		incoming := entryFor("http://app0.example/new", "app0", 8<<10, 2, 30*time.Minute, 20*time.Millisecond, now)
-		p := NewPACM()
-		b.ResetTimer()
-		for range b.N {
-			if v := p.SelectVictims(now, entries, incoming, total, f); len(v) == 0 {
-				b.Fatal("expected victims on a full store")
-			}
-		}
-	})
+	for _, n := range []int{320, 1024} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			sim := vclock.NewSim(time.Time{})
+			sim.Run("main", func() {
+				f := NewFreqTracker(sim, 0.7, time.Minute)
+				now := sim.Now()
+				entries := benchEntries(n, now)
+				var total int64
+				for _, e := range entries {
+					total += e.Size()
+				}
+				incoming := entryFor("http://app0.example/new", "app0", 8<<10, 2, 30*time.Minute, 20*time.Millisecond, now)
+				incoming.appID = 1
+				p := NewPACM()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					if v := p.SelectVictims(now, entries, incoming, total, f); len(v) == 0 {
+						b.Fatal("expected victims on a full store")
+					}
+				}
+			})
+		})
+	}
 }

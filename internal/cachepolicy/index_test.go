@@ -327,7 +327,6 @@ func TestStoreConcurrentAccess(t *testing.T) {
 // by descending density (deterministic tie-breaks matching the heap's),
 // then the fits-else-skip fill.
 func sortedGreedyKeepSet(entries []*Entry, avail int64, now time.Time, freq *FreqTracker) []*Entry {
-	rc := newRateCache(freq)
 	type ranked struct {
 		e       *Entry
 		density float64
@@ -338,7 +337,7 @@ func sortedGreedyKeepSet(entries []*Entry, avail int64, now time.Time, freq *Fre
 		if size <= 0 {
 			size = 1
 		}
-		rs = append(rs, ranked{e: e, density: rc.utility(e, now) / float64(size)})
+		rs = append(rs, ranked{e: e, density: Utility(e, now, freq) / float64(size)})
 	}
 	sort.Slice(rs, func(i, j int) bool {
 		a, b := rs[i], rs[j]
@@ -365,7 +364,6 @@ func sortedGreedyKeepSet(entries []*Entry, avail int64, now time.Time, freq *Fre
 // keep-set equals the full-sort keep-set on random instances, including
 // duplicate densities and zero-utility (expired) entries.
 func TestPACMHeapSelectionMatchesSortReference(t *testing.T) {
-	p := NewPACM()
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sim := vclock.NewSim(time.Time{})
@@ -390,7 +388,7 @@ func TestPACMHeapSelectionMatchesSortReference(t *testing.T) {
 			}
 			avail := int64(rng.Intn(48 << 10))
 
-			got := p.greedyKeepSet(entries, avail, now, freq)
+			got := greedyKeepSet(entries, avail, now, freq)
 			want := sortedGreedyKeepSet(entries, avail, now, freq)
 
 			gotSet := make(map[*Entry]bool, len(got))

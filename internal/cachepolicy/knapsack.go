@@ -13,28 +13,24 @@ const dpMaxEntries = 256
 // table small; object sizes in the evaluation are 1–500 KB).
 const dpUnit = 1024
 
-// solveKeepSetDP solves the capacity dimension of the PACM knapsack
-// exactly: choose the subset of entries with maximum total utility whose
-// rounded-up sizes fit in avail bytes. The fairness dimension is enforced
-// afterwards by the same repair pass as the greedy path.
-func solveKeepSetDP(entries []*Entry, avail int64, now time.Time, freq *FreqTracker) []*Entry {
-	if avail <= 0 || len(entries) == 0 {
-		return nil
-	}
+// solveKeepDP solves the capacity dimension of the PACM knapsack exactly:
+// it marks in keep the subset of entries with maximum total utility
+// (utils[i] is entries[i]'s) whose rounded-up sizes fit in avail bytes.
+// The fairness dimension is enforced afterwards by the same repair pass as
+// the greedy path.
+func solveKeepDP(entries []*Entry, utils []float64, avail int64, keep []bool) {
 	capUnits := int(avail / dpUnit)
-	if capUnits <= 0 {
-		return nil
+	if capUnits <= 0 || len(entries) == 0 {
+		return
 	}
 
 	n := len(entries)
 	sizes := make([]int, n)
-	utils := make([]float64, n)
 	for i, e := range entries {
 		sizes[i] = int((e.Size() + dpUnit - 1) / dpUnit) // round up: never overfit
 		if sizes[i] == 0 {
 			sizes[i] = 1
 		}
-		utils[i] = Utility(e, now, freq)
 	}
 
 	// best[w] = max utility using capacity w; taken is a per-item bitset
@@ -56,15 +52,13 @@ func solveKeepSetDP(entries []*Entry, avail int64, now time.Time, freq *FreqTrac
 	}
 
 	// Reconstruct: walk items in reverse of the processing order.
-	var keep []*Entry
 	w := capUnits
 	for i := n - 1; i >= 0; i-- {
 		if taken[i*words+(w>>6)]&(1<<(uint(w)&63)) != 0 {
-			keep = append(keep, entries[i])
+			keep[i] = true
 			w -= sizes[i]
 		}
 	}
-	return keep
 }
 
 // KeepSetUtility sums the utilities of a keep-set (test helper for

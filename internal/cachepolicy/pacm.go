@@ -1,9 +1,10 @@
 package cachepolicy
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -34,7 +35,9 @@ import (
 // candidates — typically a handful — are popped (O(log n) each). Entries
 // left on the heap are provably all kept by the greedy fill (see
 // DESIGN.md for the equivalence argument), so the full sort is recovered
-// exactly without ever paying for it.
+// exactly without ever paying for it. One pass is a dense walk over
+// scratch memory the PACM reuses: one Rate call per app, and index-aligned
+// utility, app and keep arrays instead of maps keyed by app or entry.
 type PACM struct {
 	// Theta is the fairness threshold θ (default 0.4).
 	Theta float64
@@ -43,12 +46,16 @@ type PACM struct {
 	UseDP bool
 
 	// recordFairness makes each SelectVictims pass remember which victims
-	// the fairness repair loop dropped (as opposed to the capacity
-	// greedy), so the decision ledger can attribute them as Gini
-	// rejections. The store sets it when a ledger is attached; off by
-	// default so the extra map costs nothing.
+	// the fairness repair dropped (as opposed to the capacity greedy), so
+	// the decision ledger can attribute them as Gini rejections. The store
+	// sets it when a ledger is attached.
 	recordFairness bool
-	fairnessDrops  map[*Entry]struct{}
+	fairnessDrops  []*Entry
+
+	// sel is the scratch a pass runs in. Like fairnessDrops it is per-pass
+	// state, which is safe because the store runs SelectVictims under its
+	// write lock: two passes over one PACM never overlap.
+	sel selection
 }
 
 // NewPACM returns a PACM policy with the paper's default θ.
@@ -82,180 +89,357 @@ func utilityAtRate(e *Entry, now time.Time, rate float64) float64 {
 	return rate * remaining * latencyMS * float64(e.Object.Priority)
 }
 
-// rateCache memoizes FreqTracker.Rate within one selection pass: at a
-// fixed virtual instant every lookup for the same app returns the same
-// value, so the per-entry lock acquisition in the old code was pure waste.
-type rateCache struct {
-	freq  *FreqTracker
-	rates map[string]float64
-}
-
-func newRateCache(freq *FreqTracker) *rateCache {
-	return &rateCache{freq: freq, rates: make(map[string]float64, 8)}
-}
-
-func (rc *rateCache) rate(app string) float64 {
-	if r, ok := rc.rates[app]; ok {
-		return r
-	}
-	r := rc.freq.Rate(app)
-	rc.rates[app] = r
-	return r
-}
-
-func (rc *rateCache) utility(e *Entry, now time.Time) float64 {
-	return utilityAtRate(e, now, rc.rate(e.Object.App))
-}
-
-// SelectVictims implements Policy.
+// SelectVictims implements Policy. Victims come back in entries order.
 func (p *PACM) SelectVictims(now time.Time, entries []*Entry, incoming *Entry, capacity int64, freq *FreqTracker) []*Entry {
 	avail := capacity
 	if incoming != nil {
 		avail -= incoming.Size()
 	}
-	if p.recordFairness {
-		p.fairnessDrops = nil // per-pass state; read back by the store
+	clear(p.fairnessDrops) // drop last pass's references before reuse
+	p.fairnessDrops = p.fairnessDrops[:0]
+	dp := p.UseDP && len(entries) <= dpMaxEntries
+	if len(entries) == 0 || (dp && avail < dpUnit) {
+		return slices.Clone(entries) // the DP keeps nothing and reads no rate
 	}
-	var keep []*Entry
-	if p.UseDP && len(entries) <= dpMaxEntries {
-		keep = solveKeepSetDP(entries, avail, now, freq)
+	s := &p.sel
+	s.reset(len(entries))
+	for i, e := range entries {
+		a := s.appIndex(e, freq)
+		s.app[i] = a
+		s.util[i] = utilityAtRate(e, now, s.apps[a].rate)
+	}
+	if dp {
+		solveKeepDP(entries, s.util, avail, s.keep)
 	} else {
-		keep = p.greedyKeepSet(entries, avail, now, freq)
+		s.greedy(entries, avail)
 	}
-	keep = p.enforceFairness(keep, incoming, now, freq)
+	kept := p.enforceFairness(entries, incoming, freq)
 
-	kept := make(map[*Entry]struct{}, len(keep))
-	for _, e := range keep {
-		kept[e] = struct{}{}
-	}
-	victims := make([]*Entry, 0, len(entries)-len(keep))
-	for _, e := range entries {
-		if _, ok := kept[e]; !ok {
+	victims := make([]*Entry, 0, len(entries)-kept)
+	for i, e := range entries {
+		if !s.keep[i] {
 			victims = append(victims, e)
 		}
 	}
 	return victims
 }
 
-// scored pairs an entry with its utility density for heap ordering.
+// selection is the scratch of one pass, index-aligned with its entries:
+// entry i's utility, app slot and fate. Every slice is reused across
+// passes, so a pass allocates only the victim slice it returns.
+type selection struct {
+	util  []float64
+	app   []int32
+	keep  []bool
+	apps  []appTally
+	heap  densityHeap
+	tail  []int32
+	order []int32   // kept entries grouped by app (fairness victim order)
+	vals  []float64 // per-app efficiencies, the Gini input
+	// grouped reports whether order has been built this pass.
+	grouped bool
+	// slotOf maps a store app id to its slot in apps plus one (0: not
+	// seen this pass); ids lists the ids set, so reset clears just those.
+	slotOf []int32
+	ids    []uint32
+}
+
+// appTally is one app's standing within a pass.
+type appTally struct {
+	name string
+	rate float64 // R(a), read once per pass
+	// bytes and kept cover the kept entries; bytes also counts the
+	// incoming object for its app.
+	bytes int64
+	kept  int
+	// next/end delimit the app's not-yet-dropped kept entries in order;
+	// sorted reports whether that group is in victim order yet.
+	next, end int
+	sorted    bool
+}
+
+// efficiency is C_a = bytes(a) / R(a), the rate floored at MinRate.
+func (t *appTally) efficiency() float64 {
+	r := t.rate
+	if r < MinRate {
+		r = MinRate
+	}
+	return float64(t.bytes) / r
+}
+
+func (s *selection) reset(n int) {
+	s.util = resize(s.util, n)
+	s.app = resize(s.app, n)
+	s.keep = resize(s.keep, n)
+	clear(s.keep)
+	clear(s.apps) // drop app names of earlier passes
+	s.apps = s.apps[:0]
+	for _, id := range s.ids {
+		s.slotOf[id] = 0
+	}
+	s.ids = s.ids[:0]
+	s.grouped = false
+}
+
+// resize returns b with length n, reallocating only when it must grow.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// appIndex returns the slot of e's app in the pass, adding it — with the
+// pass's one Rate call for the app — on first sight. An entry built by a
+// store carries the store's app id, which finds the slot directly once
+// the app has been seen; names are compared only on a first sighting and
+// for entries built outside a store. A pass sees one store's entries, so
+// an id stands for one app within it.
+func (s *selection) appIndex(e *Entry, freq *FreqTracker) int32 {
+	id := e.appID
+	if int(id) < len(s.slotOf) && s.slotOf[id] != 0 {
+		return s.slotOf[id] - 1
+	}
+	app, a := e.Object.App, int32(-1)
+	for i := range s.apps {
+		if s.apps[i].name == app {
+			a = int32(i)
+			break
+		}
+	}
+	if a < 0 {
+		s.apps = append(s.apps, appTally{name: app, rate: freq.Rate(app)})
+		a = int32(len(s.apps) - 1)
+	}
+	if id != 0 {
+		for len(s.slotOf) <= int(id) {
+			s.slotOf = append(s.slotOf, 0)
+		}
+		s.slotOf[id] = a + 1
+		s.ids = append(s.ids, id)
+	}
+	return a
+}
+
+// scored is a heap item: entry index and utility density.
 type scored struct {
-	e       *Entry
 	density float64
+	i       int32
 }
 
 // densityHeap is a min-heap over utility density with deterministic
-// tie-breaks (insertion sequence, then URL), so selection no longer
-// depends on map iteration order.
-type densityHeap []scored
+// tie-breaks (later insertion first, then larger URL), so selection does
+// not depend on map iteration order.
+type densityHeap struct {
+	items   []scored
+	entries []*Entry
+}
 
-func (h densityHeap) Len() int { return len(h) }
-func (h densityHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+func (h *densityHeap) less(i, j int) bool {
+	a, b := h.items[i], h.items[j]
 	if a.density != b.density {
 		return a.density < b.density
 	}
-	if a.e.seq != b.e.seq {
-		return a.e.seq > b.e.seq // later insertions evict first on ties
+	ea, eb := h.entries[a.i], h.entries[b.i]
+	if ea.seq != eb.seq {
+		return ea.seq > eb.seq // later insertions evict first on ties
 	}
-	return a.e.Object.URL > b.e.Object.URL
+	return ea.Object.URL > eb.Object.URL
 }
-func (h densityHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *densityHeap) Push(x any)   { *h = append(*h, x.(scored)) }
-func (h *densityHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+
+func (h *densityHeap) down(i int) {
+	n := len(h.items)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h.items[i], h.items[j] = h.items[j], h.items[i]
+		i = j
+	}
+}
+
+func (h *densityHeap) pop() scored {
+	n := len(h.items) - 1
+	h.items[0], h.items[n] = h.items[n], h.items[0]
+	it := h.items[n]
+	h.items = h.items[:n]
+	h.down(0)
 	return it
 }
 
-// greedyKeepSet keeps entries in descending utility-density order until
-// the capacity budget is exhausted — without sorting. The densities are
-// heapified (O(n)); the lowest-density entries are popped (O(log n) each)
-// only until the remaining mass fits in avail. Everything still on the
-// heap is kept outright: in the density-descending greedy fill those
-// entries form a prefix whose running sum never exceeds the remaining
-// mass, which fits. The popped tail is then replayed in descending order
-// (reverse pop order) through the same fits-else-skip rule, reproducing
-// the sorted greedy's keep-set exactly.
-func (p *PACM) greedyKeepSet(entries []*Entry, avail int64, now time.Time, freq *FreqTracker) []*Entry {
-	rc := newRateCache(freq)
-	h := make(densityHeap, 0, len(entries))
+// greedy marks the keep-set that keeps entries in descending
+// utility-density order until the capacity budget is exhausted — without
+// sorting. The densities are heapified (O(n)); the lowest-density entries
+// are popped (O(log n) each) only until the remaining mass fits in avail.
+// Everything still on the heap is kept outright: in the density-descending
+// greedy fill those entries form a prefix whose running sum never exceeds
+// the remaining mass, which fits. The popped tail is then replayed in
+// descending order (reverse pop order) through the same fits-else-skip
+// rule, reproducing the sorted greedy's keep-set exactly.
+func (s *selection) greedy(entries []*Entry, avail int64) {
+	h := &s.heap
+	h.items, h.entries = h.items[:0], entries
 	var total int64
-	for _, e := range entries {
-		u := rc.utility(e, now)
+	for i, e := range entries {
 		size := e.Size()
+		total += size
 		if size <= 0 {
 			size = 1
 		}
-		h = append(h, scored{e: e, density: u / float64(size)})
-		total += e.Size()
+		h.items = append(h.items, scored{density: s.util[i] / float64(size), i: int32(i)})
 	}
-	heap.Init(&h)
-	var tail []scored // ascending density: tail[0] is the worst entry
-	for total > avail && h.Len() > 0 {
-		it := heap.Pop(&h).(scored)
-		tail = append(tail, it)
-		total -= it.e.Size()
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	keep := make([]*Entry, 0, len(h)+len(tail))
-	for _, it := range h {
-		keep = append(keep, it.e)
+	tail := s.tail[:0] // ascending density: tail[0] is the worst entry
+	for total > avail && len(h.items) > 0 {
+		it := h.pop()
+		tail = append(tail, it.i)
+		total -= entries[it.i].Size()
+	}
+	for _, it := range h.items {
+		s.keep[it.i] = true
 	}
 	used := total
-	for i := len(tail) - 1; i >= 0; i-- { // descending density
-		e := tail[i].e
-		if used+e.Size() <= avail {
-			keep = append(keep, e)
-			used += e.Size()
+	for k := len(tail) - 1; k >= 0; k-- { // descending density
+		if size := entries[tail[k]].Size(); used+size <= avail {
+			s.keep[tail[k]] = true
+			used += size
 		}
 	}
-	return keep
+	s.tail, h.entries = tail, nil
 }
 
-// enforceFairness drops the lowest-utility entries of storage-dominant
-// apps until F(A) ≤ θ. The incoming object (already admitted by
-// definition) participates in the efficiency accounting.
-func (p *PACM) enforceFairness(keep []*Entry, incoming *Entry, now time.Time, freq *FreqTracker) []*Entry {
+// enforceFairness drops the lowest-utility kept entries of
+// storage-dominant apps until F(A) ≤ θ, and returns how many entries stay
+// kept. The incoming object (already admitted by definition) participates
+// in the efficiency accounting. Per-app byte sums and kept counts are
+// tallied once and updated per drop; each round recomputes only the Gini
+// coefficient over the per-app efficiencies.
+func (p *PACM) enforceFairness(entries []*Entry, incoming *Entry, freq *FreqTracker) int {
+	s := &p.sel
 	theta := p.Theta
 	if theta <= 0 {
 		theta = DefaultFairnessThreshold
 	}
-	rc := newRateCache(freq)
-	for len(keep) > 0 {
-		eff := storageEfficiency(keep, incoming, rc)
-		if len(eff) < 2 || Gini(eff) <= theta {
-			return keep
+	kept := 0
+	for i, k := range s.keep {
+		if k {
+			t := &s.apps[s.app[i]]
+			t.bytes += entries[i].Size()
+			t.kept++
+			kept++
 		}
-		// Identify the app with the worst (largest) storage efficiency
-		// that still has evictable entries, and drop its lowest-utility
-		// entry (deterministic tie-break: insertion sequence, then URL).
-		victimIdx := -1
-		var victimUtil float64
-		worstApp := worstEfficiencyApp(eff, keep)
-		for i, e := range keep {
-			if e.Object.App != worstApp {
-				continue
-			}
-			u := rc.utility(e, now)
-			if victimIdx < 0 || u < victimUtil ||
-				(u == victimUtil && entryBefore(e, keep[victimIdx])) {
-				victimIdx = i
-				victimUtil = u
-			}
-		}
-		if victimIdx < 0 {
-			return keep // dominant app is the incoming's; nothing to drop
-		}
-		if p.recordFairness {
-			if p.fairnessDrops == nil {
-				p.fairnessDrops = make(map[*Entry]struct{}, 4)
-			}
-			p.fairnessDrops[keep[victimIdx]] = struct{}{}
-		}
-		keep = append(keep[:victimIdx], keep[victimIdx+1:]...)
 	}
-	return keep
+	if kept == 0 {
+		return 0
+	}
+	in := int32(-1)
+	if incoming != nil {
+		in = s.appIndex(incoming, freq)
+		s.apps[in].bytes += incoming.Size()
+	}
+	for kept > 0 {
+		vals := s.vals[:0]
+		for a := range s.apps {
+			if t := &s.apps[a]; t.kept > 0 || int32(a) == in {
+				vals = append(vals, t.efficiency())
+			}
+		}
+		s.vals = vals
+		if len(vals) < 2 || gini(vals) <= theta {
+			break
+		}
+		// Drop the lowest-utility entry of the app with the worst (largest)
+		// storage efficiency that still has kept entries.
+		worst := s.worstApp()
+		if worst < 0 {
+			break
+		}
+		i := s.nextVictim(worst, entries)
+		s.keep[i] = false
+		t := &s.apps[worst]
+		t.bytes -= entries[i].Size()
+		t.kept--
+		kept--
+		if p.recordFairness {
+			p.fairnessDrops = append(p.fairnessDrops, entries[i])
+		}
+	}
+	return kept
+}
+
+// worstApp returns the app with the largest C_a among apps that own at
+// least one kept entry (ties broken lexicographically so the repair loop
+// is deterministic).
+func (s *selection) worstApp() int {
+	worst, worstVal := -1, math.Inf(-1)
+	for a := range s.apps {
+		t := &s.apps[a]
+		if t.kept == 0 {
+			continue
+		}
+		if v := t.efficiency(); v > worstVal || (v == worstVal && t.name < s.apps[worst].name) {
+			worst, worstVal = a, v
+		}
+	}
+	return worst
+}
+
+// nextVictim returns app a's lowest-utility kept entry (ties: earlier
+// insertion, then smaller URL) and moves past it. The first call of a pass
+// groups the kept entries by app; a group is sorted the first time its
+// app is the worst. Only fairness drops remove kept entries, and they take
+// each app's in this order, so a group's unvisited part is exactly the
+// app's kept entries.
+func (s *selection) nextVictim(a int, entries []*Entry) int32 {
+	if !s.grouped {
+		s.group()
+	}
+	t := &s.apps[a]
+	if !t.sorted {
+		slices.SortFunc(s.order[t.next:t.end], func(x, y int32) int {
+			if c := cmp.Compare(s.util[x], s.util[y]); c != 0 {
+				return c
+			}
+			ex, ey := entries[x], entries[y]
+			if c := cmp.Compare(ex.seq, ey.seq); c != 0 {
+				return c
+			}
+			return strings.Compare(ex.Object.URL, ey.Object.URL)
+		})
+		t.sorted = true
+	}
+	i := s.order[t.next]
+	t.next++
+	return i
+}
+
+// group lays the kept entries out in order, grouped by app (a counting
+// sort on the app slot).
+func (s *selection) group() {
+	n := 0
+	for a := range s.apps {
+		t := &s.apps[a]
+		t.next, t.end = n, n
+		n += t.kept
+	}
+	s.order = resize(s.order, n)
+	for i, k := range s.keep {
+		if k {
+			t := &s.apps[s.app[i]]
+			s.order[t.end] = int32(i)
+			t.end++
+		}
+	}
+	s.grouped = true
 }
 
 // fairnessVictim reports whether the last SelectVictims pass dropped e
@@ -263,73 +447,27 @@ func (p *PACM) enforceFairness(keep []*Entry, incoming *Entry, now time.Time, fr
 // on; the store reads it under its write lock immediately after the
 // selection that produced e.
 func (p *PACM) fairnessVictim(e *Entry) bool {
-	_, ok := p.fairnessDrops[e]
-	return ok
-}
-
-// entryBefore is the deterministic preference order for equal-utility
-// fairness victims: earlier insertion wins, then lexicographic URL.
-func entryBefore(a, b *Entry) bool {
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.Object.URL < b.Object.URL
-}
-
-// storageEfficiency computes C_a = bytes(a) / R(a) for every app present
-// in the keep-set plus the incoming object.
-func storageEfficiency(keep []*Entry, incoming *Entry, rc *rateCache) map[string]float64 {
-	bytes := make(map[string]int64)
-	for _, e := range keep {
-		bytes[e.Object.App] += e.Size()
-	}
-	if incoming != nil {
-		bytes[incoming.Object.App] += incoming.Size()
-	}
-	eff := make(map[string]float64, len(bytes))
-	for app, b := range bytes {
-		r := rc.rate(app)
-		if r < MinRate {
-			r = MinRate
-		}
-		eff[app] = float64(b) / r
-	}
-	return eff
-}
-
-// worstEfficiencyApp returns the app with the largest C_a among apps that
-// own at least one keep-set entry (ties broken lexicographically so the
-// repair loop is deterministic).
-func worstEfficiencyApp(eff map[string]float64, keep []*Entry) string {
-	present := make(map[string]bool, len(keep))
-	for _, e := range keep {
-		present[e.Object.App] = true
-	}
-	worst, worstVal := "", math.Inf(-1)
-	for app, v := range eff {
-		if !present[app] {
-			continue
-		}
-		if v > worstVal || (v == worstVal && app < worst) {
-			worst, worstVal = app, v
-		}
-	}
-	return worst
+	return slices.Contains(p.fairnessDrops, e)
 }
 
 // Gini computes the Gini coefficient of the values (Equation 1 of the
 // paper): F = ΣΣ|Cx−Cy| / (2·A·ΣCx). Zero means perfectly equal.
 func Gini(values map[string]float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
 	vals := make([]float64, 0, len(values))
 	for _, v := range values {
 		vals = append(vals, v)
 	}
+	return gini(vals)
+}
+
+// gini is Gini over a slice, which it sorts in place.
+func gini(vals []float64) float64 {
+	if len(vals) == 0 {
+		return 0
+	}
 	// Sum in sorted order: float addition is not associative, and map
 	// iteration order must not leak into the result's low bits.
-	sort.Float64s(vals)
+	slices.Sort(vals)
 	var sum float64
 	for _, v := range vals {
 		sum += v

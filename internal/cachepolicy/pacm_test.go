@@ -139,11 +139,35 @@ func TestPACMFairnessRestrainsHoardingApp(t *testing.T) {
 		}
 		// And the surviving set must satisfy the bound.
 		kept := keepAfter(entries, victims)
-		eff := storageEfficiency(kept, incoming, newRateCache(f))
+		eff := referenceStorageEfficiency(kept, incoming, newRefRateCache(f))
 		if g := Gini(eff); g > p.Theta+1e-9 {
 			t.Errorf("post-eviction Gini = %f > θ=%f", g, p.Theta)
 		}
 	})
+}
+
+// greedyKeepSet is PACM's capacity-only keep-set, through the public
+// path: θ = 1 never binds (a Gini coefficient stays below 1), and a nil
+// incoming leaves all of avail to the resident entries.
+func greedyKeepSet(entries []*Entry, avail int64, now time.Time, freq *FreqTracker) []*Entry {
+	return keepAfter(entries, (&PACM{Theta: 1}).SelectVictims(now, entries, nil, avail, freq))
+}
+
+// solveKeepSetDP returns the exact DP's keep-set.
+func solveKeepSetDP(entries []*Entry, avail int64, now time.Time, freq *FreqTracker) []*Entry {
+	utils := make([]float64, len(entries))
+	for i, e := range entries {
+		utils[i] = Utility(e, now, freq)
+	}
+	keep := make([]bool, len(entries))
+	solveKeepDP(entries, utils, avail, keep)
+	var out []*Entry
+	for i, k := range keep {
+		if k {
+			out = append(out, entries[i])
+		}
+	}
+	return out
 }
 
 func keepAfter(entries, victims []*Entry) []*Entry {
@@ -183,8 +207,7 @@ func TestPACMGreedyCloseToExactDP(t *testing.T) {
 					time.Duration(20+rng.Intn(30))*time.Millisecond, now))
 			}
 			avail := int64(200 << 10)
-			p := &PACM{Theta: 1.0} // isolate the capacity dimension
-			greedy := p.greedyKeepSet(entries, avail, now, f)
+			greedy := greedyKeepSet(entries, avail, now, f)
 			exact := solveKeepSetDP(entries, avail, now, f)
 			gu := KeepSetUtility(greedy, now, f)
 			eu := KeepSetUtility(exact, now, f)

@@ -66,8 +66,7 @@ func TestDPKeepSetDominatesGreedyProperty(t *testing.T) {
 				}
 			}
 			avail := int64(96 << 10)
-			p := &PACM{Theta: 1}
-			greedy := p.greedyKeepSet(entries, avail, now, freq)
+			greedy := greedyKeepSet(entries, avail, now, freq)
 			exact := solveKeepSetDP(entries, avail, now, freq)
 
 			gu := KeepSetUtility(greedy, now, freq)

@@ -57,6 +57,10 @@ type Entry struct {
 	// StaleServed records that the one allowed stale serve has happened.
 	StaleServed bool
 
+	// appID is the store's number for Object.App (0 for entries built
+	// outside a store), letting a PACM pass find an entry's app without
+	// comparing names.
+	appID uint32
 	// seq is the store's insertion sequence, used as a deterministic
 	// tie-break wherever entries compare equal (densities, fallback
 	// eviction order). Zero for entries built outside a store.
@@ -166,6 +170,11 @@ type Store struct {
 	// ledger is the optional decision ledger (see ledger.go); nil keeps
 	// the miss path classification-free and every record a no-op.
 	ledger *decisionlog.Ledger
+	// appIDs numbers every app ever admitted, from 1 (Entry.appID).
+	appIDs map[string]uint32
+	// resident is makeRoom's snapshot of the resident entries, reused
+	// across admissions under the write lock and cleared after each.
+	resident []*Entry
 }
 
 // NewStore builds a cache with the given capacity and policy. A zero
@@ -190,6 +199,7 @@ func NewStore(clock vclock.Clock, capacity int64, maxObjectSize int64, policy Po
 		negative:      make(map[string]time.Time),
 		negativeTTL:   DefaultNegativeTTL,
 		domains:       make(map[string]*domainIndex),
+		appIDs:        make(map[string]uint32),
 	}
 }
 
@@ -406,6 +416,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 			Inserted:     old.Inserted,
 			Hits:         old.Hits,
 			Version:      obj.Version,
+			appID:        s.appID(obj.App),
 			seq:          old.seq,
 		}
 		s.used += size - old.Size()
@@ -429,6 +440,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 		LastUsed:     now,
 		Inserted:     now,
 		Version:      obj.Version,
+		appID:        s.appID(obj.App),
 		seq:          s.seq,
 	}
 	s.makeRoom(entry)
@@ -442,6 +454,17 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 		s.ledger.Record(s.ledgerEvent(decisionlog.OpAdmit, entry, now))
 	}
 	return nil
+}
+
+// appID returns app's number, assigning the next one on first sight.
+// Callers hold the write lock.
+func (s *Store) appID(app string) uint32 {
+	id, ok := s.appIDs[app]
+	if !ok {
+		id = uint32(len(s.appIDs) + 1)
+		s.appIDs[app] = id
+	}
+	return id
 }
 
 // indexKnown records a hash→URL sighting in both the global map and the
@@ -519,7 +542,7 @@ func (s *Store) makeRoom(incoming *Entry) {
 	if need <= 0 {
 		return
 	}
-	entries := s.entriesSlice()
+	entries := s.appendEntries(s.resident[:0])
 	for _, e := range entries {
 		e.syncRecency() // policies read LastUsed/Hits
 	}
@@ -557,11 +580,13 @@ func (s *Store) makeRoom(incoming *Entry) {
 		s.tel.evicted(v.Object.URL, "capacity")
 		need -= v.Size()
 	}
+	clear(entries) // hold no evicted entry until the next admission
+	s.resident = entries[:0]
 	// The policy is trusted but verified: if it under-evicted, fall back
 	// to dropping the least-recently-used entries (deterministic order) so
 	// the capacity invariant holds.
 	if need > 0 {
-		rest := s.entriesSlice()
+		rest := s.appendEntries(nil)
 		sort.Slice(rest, func(i, j int) bool {
 			a, b := rest[i], rest[j]
 			if !a.LastUsed.Equal(b.LastUsed) {
@@ -600,13 +625,13 @@ func (s *Store) removeEntry(url string) {
 	s.setResident(url, nil)
 }
 
-// entriesSlice snapshots the resident entries.
-func (s *Store) entriesSlice() []*Entry {
-	out := make([]*Entry, 0, len(s.entries))
+// appendEntries appends a snapshot of the resident entries to dst.
+func (s *Store) appendEntries(dst []*Entry) []*Entry {
+	dst = slices.Grow(dst, len(s.entries))
 	for _, e := range s.entries {
-		out = append(out, e)
+		dst = append(dst, e)
 	}
-	return out
+	return dst
 }
 
 // Entries exposes a snapshot for tests and the experiment harness, with
@@ -614,7 +639,7 @@ func (s *Store) entriesSlice() []*Entry {
 func (s *Store) Entries() []*Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.entriesSlice()
+	out := s.appendEntries(nil)
 	for _, e := range out {
 		e.syncRecency()
 	}

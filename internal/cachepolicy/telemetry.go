@@ -168,8 +168,7 @@ type AppStorage struct {
 func (s *Store) StorageReport() ([]AppStorage, float64) {
 	s.mu.RLock()
 	now := s.clock.Now()
-	rc := newRateCache(s.freq)
-	entries := s.entriesSlice()
+	entries := s.appendEntries(nil)
 	s.mu.RUnlock()
 	// Accumulate per-app utility in insertion order: summing floats in
 	// map-iteration order would leak nondeterminism into the report.
@@ -179,18 +178,17 @@ func (s *Store) StorageReport() ([]AppStorage, float64) {
 		app := e.Object.App
 		a := per[app]
 		if a == nil {
-			a = &AppStorage{App: app}
+			a = &AppStorage{App: app, Rate: s.freq.Rate(app)}
 			per[app] = a
 		}
 		a.Entries++
 		a.Bytes += e.Size()
-		a.Utility += rc.utility(e, now)
+		a.Utility += utilityAtRate(e, now, a.Rate)
 	}
 
 	eff := make(map[string]float64, len(per))
 	out := make([]AppStorage, 0, len(per))
 	for app, a := range per {
-		a.Rate = rc.rate(app)
 		r := a.Rate
 		if r < MinRate {
 			r = MinRate

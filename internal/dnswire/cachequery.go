@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 )
 
@@ -75,20 +76,30 @@ func NewCacheRR(domain string, class Class, entries []CacheEntry) RR {
 
 // ParseCacheRR extracts the entries of a DNS-Cache RR.
 func ParseCacheRR(rr RR) ([]CacheEntry, error) {
+	entries, err := AppendCacheEntries(make([]CacheEntry, 0, len(rr.Data)/cacheEntrySize), rr)
+	if err != nil {
+		return nil, err
+	}
+	return entries, nil
+}
+
+// AppendCacheEntries appends the entries of a DNS-Cache RR to dst, letting
+// a caller parse into reused scratch. On error dst comes back unchanged.
+func AppendCacheEntries(dst []CacheEntry, rr RR) ([]CacheEntry, error) {
 	if rr.Type != TypeDNSCache {
-		return nil, ErrNotCacheRR
+		return dst, ErrNotCacheRR
 	}
 	if len(rr.Data)%cacheEntrySize != 0 {
-		return nil, fmt.Errorf("dnswire: DNS-Cache RDATA length %d: %w", len(rr.Data), ErrTruncatedMessage)
+		return dst, fmt.Errorf("dnswire: DNS-Cache RDATA length %d: %w", len(rr.Data), ErrTruncatedMessage)
 	}
-	entries := make([]CacheEntry, 0, len(rr.Data)/cacheEntrySize)
+	dst = slices.Grow(dst, len(rr.Data)/cacheEntrySize)
 	for i := 0; i+cacheEntrySize <= len(rr.Data); i += cacheEntrySize {
-		entries = append(entries, CacheEntry{
+		dst = append(dst, CacheEntry{
 			Hash: binary.BigEndian.Uint64(rr.Data[i:]),
 			Flag: CacheFlag(rr.Data[i+8]),
 		})
 	}
-	return entries, nil
+	return dst, nil
 }
 
 // FindCacheRR returns the first DNS-Cache RR of the given class in the

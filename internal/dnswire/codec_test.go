@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -273,6 +274,24 @@ func TestParseCacheRRRejectsRaggedData(t *testing.T) {
 	rr.Data = rr.Data[:5]
 	if _, err := ParseCacheRR(rr); err == nil {
 		t.Error("expected error for ragged RDATA")
+	}
+}
+
+// TestAppendCacheEntries: entries land after what dst holds, in wire
+// order, and a rejected RR leaves dst as it was.
+func TestAppendCacheEntries(t *testing.T) {
+	dst := []CacheEntry{{Hash: 9, Flag: FlagStale}}
+	rr := NewCacheRR("x.com", ClassCacheResponse, []CacheEntry{{Hash: 1, Flag: FlagCacheHit}, {Hash: 2, Flag: FlagDelegation}})
+	got, err := AppendCacheEntries(dst, rr)
+	want := []CacheEntry{{Hash: 9, Flag: FlagStale}, {Hash: 1, Flag: FlagCacheHit}, {Hash: 2, Flag: FlagDelegation}}
+	if err != nil || !slices.Equal(got, want) {
+		t.Errorf("AppendCacheEntries = %v, %v; want %v", got, err, want)
+	}
+	rr.Data = rr.Data[:5]
+	for _, bad := range []RR{rr, NewA("x.com", 1, IPv4{})} {
+		if got, err := AppendCacheEntries(dst, bad); err == nil || !slices.Equal(got, dst) {
+			t.Errorf("AppendCacheEntries(type %d, %d bytes) = %v, %v; want dst unchanged and an error", bad.Type, len(bad.Data), got, err)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package httplite
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -203,27 +204,36 @@ func ReadResponse(r *bufio.Reader) (*Response, error) {
 	return resp, nil
 }
 
+// readLine reads one line, returning it without its line ending. A line
+// longer than the reader's buffer is collected chunk by chunk and refused
+// with ErrTooLarge as soon as it passes maxLineBytes, so a peer that never
+// sends a newline costs at most maxLineBytes plus one buffer.
 func readLine(r *bufio.Reader) (string, error) {
-	var b strings.Builder
-	for {
-		chunk, err := r.ReadString('\n')
-		b.WriteString(chunk)
-		if err != nil {
-			if err == io.EOF && b.Len() == 0 {
-				return "", io.EOF
-			}
-			if err == io.EOF {
-				return "", fmt.Errorf("httplite: unterminated line: %w", ErrMalformed)
-			}
-			return "", fmt.Errorf("httplite: read line: %w", err)
-		}
-		if b.Len() > maxLineBytes {
+	line, err := r.ReadSlice('\n')
+	var long []byte
+	for err == bufio.ErrBufferFull {
+		long = append(long, line...) // line is only valid until the next read
+		if len(long) > maxLineBytes {
 			return "", ErrTooLarge
 		}
-		if strings.HasSuffix(b.String(), "\n") {
-			return strings.TrimRight(b.String(), "\r\n"), nil
-		}
+		line, err = r.ReadSlice('\n')
 	}
+	if long != nil {
+		line = append(long, line...)
+	}
+	if err != nil {
+		if err == io.EOF && len(line) == 0 {
+			return "", io.EOF
+		}
+		if err == io.EOF {
+			return "", fmt.Errorf("httplite: unterminated line: %w", ErrMalformed)
+		}
+		return "", fmt.Errorf("httplite: read line: %w", err)
+	}
+	if len(line) > maxLineBytes {
+		return "", ErrTooLarge
+	}
+	return string(bytes.TrimRight(line, "\r\n")), nil
 }
 
 func readHeaders(r *bufio.Reader, dst map[string]string) error {

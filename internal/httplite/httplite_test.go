@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,45 @@ func TestReadResponseRejectsOversizedBody(t *testing.T) {
 	head := "HTTP/1.1 200 OK\r\ncontent-length: 999999999\r\n\r\n"
 	if _, err := ReadResponse(bufio.NewReader(strings.NewReader(head))); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
+	}
+}
+
+// endlessLine serves prefix, then a letter 'a' up to limit bytes in all,
+// never a newline, counting what the reader consumed.
+type endlessLine struct {
+	prefix      string
+	read, limit int
+}
+
+func (r *endlessLine) Read(p []byte) (int, error) {
+	if r.read >= r.limit {
+		return 0, io.EOF
+	}
+	n := min(len(p), r.limit-r.read)
+	for i := range p[:n] {
+		if k := r.read + i; k < len(r.prefix) {
+			p[i] = r.prefix[k]
+		} else {
+			p[i] = 'a'
+		}
+	}
+	r.read += n
+	return n, nil
+}
+
+// TestNewlineFreeLineIsRefusedEarly: a peer streaming a line without a
+// newline is refused with ErrTooLarge once the line passes maxLineBytes,
+// having cost at most that plus one reader buffer — not the whole stream.
+func TestNewlineFreeLineIsRefusedEarly(t *testing.T) {
+	for _, prefix := range []string{"", "GET / HTTP/1.1\r\nx-long: "} {
+		src := &endlessLine{prefix: prefix, limit: 64 << 20}
+		br := bufio.NewReader(src)
+		if _, err := ReadRequest(br); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("prefix %q: err = %v, want ErrTooLarge", prefix, err)
+		}
+		if budget := len(prefix) + maxLineBytes + br.Size(); src.read > budget {
+			t.Errorf("prefix %q: read %d bytes before refusing, want at most %d", prefix, src.read, budget)
+		}
 	}
 }
 
