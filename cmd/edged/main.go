@@ -111,7 +111,7 @@ func run(ip string, edgePort, originPort, fleetPort uint16, domains []string, pe
 	if d := hub.Dispatcher(); d != nil {
 		cfg := d.Config()
 		fmt.Printf("edged: sharded purge fan-out: %d shards, %d workers, flush %v, batches up to %d (stats at %s)\n",
-			cfg.Shards, cfg.Workers, cfg.FlushInterval, cfg.MaxBatch, coherence.PathStats)
+			cfg.Shards, coherence.DefaultWorkers, cfg.FlushInterval, cfg.MaxBatch, coherence.PathStats)
 	}
 	fmt.Printf("edged: telemetry on %s/metrics, /debug/vars, /debug/pprof, /trace, /events\n", edgeL.Addr())
 	if fleetPort != 0 {

@@ -60,8 +60,6 @@ type Config struct {
 	EdgeAddr transport.Addr
 	// CacheCapacity is the AP cache memory (5 MB in the evaluation).
 	CacheCapacity int64
-	// MaxObjectSize is the block-list threshold (default 500 KB).
-	MaxObjectSize int64
 	// Policy is the eviction policy (PACM, or LRU for APE-CACHE-LRU).
 	Policy cachepolicy.Policy
 	// Rng provides DNS transaction IDs.
@@ -81,9 +79,6 @@ type Config struct {
 	// DisableDummyIP turns off the dummy-IP short circuit (ablation):
 	// every DNS-Cache query then waits for real upstream resolution.
 	DisableDummyIP bool
-	// DisablePrefetch turns off dependency-driven prefetching (clients
-	// may still send X-Ape-Prefetch hints; they are ignored).
-	DisablePrefetch bool
 	// Coherence selects how the AP handles purge messages from the
 	// invalidation bus: ModeOff (TTL-only, no subscription), ModeInvalidate
 	// (evict on purge) or ModeSWR (serve the purged copy once while a
@@ -101,9 +96,6 @@ type Config struct {
 	// hub only delivers purges whose URL domain shares a shard with one
 	// of these. Empty means "deliver everything".
 	PurgeDomains []string
-	// SweepInterval overrides DefaultSweepInterval when positive (the
-	// background expired-entry sweep period).
-	SweepInterval time.Duration
 	// Telemetry receives this AP's metrics, spans and events. When nil a
 	// private bundle is created; the testbed shares one bundle across all
 	// nodes so traces stitch together.
@@ -114,10 +106,9 @@ type Config struct {
 	// pushing; snapshot traffic is wire-visible, so experiment runs
 	// leave it off.
 	FleetAddr transport.Addr
-	// SnapshotInterval and SnapshotSpans tune the push cadence and the
-	// per-push span budget (telemetry package defaults when zero).
+	// SnapshotInterval tunes the push cadence
+	// (telemetry.DefaultSnapshotInterval when zero).
 	SnapshotInterval time.Duration
-	SnapshotSpans    int
 	// NodeName overrides the identity this AP stamps on spans and
 	// snapshots ("ap:<host name>" when empty). Fleet node names must be
 	// unique — set this when several APs share one host address.
@@ -130,10 +121,8 @@ type Config struct {
 	// experiment runs leave it off.
 	MeshAddr transport.Addr
 	// MeshInterval overrides the summary publish cadence
-	// (coopmesh.DefaultSummaryInterval when zero); MeshFPRate the Bloom
-	// false-positive bound (coopmesh.DefaultFPRate when zero).
+	// (coopmesh.DefaultSummaryInterval when zero).
 	MeshInterval time.Duration
-	MeshFPRate   float64
 	// DecisionLog enables the per-AP cache decision ledger: every
 	// lifecycle decision (admission with its PACM utility terms,
 	// eviction, Gini drop, expiry, purge, SWR serve, peer fill/fail) is
@@ -216,7 +205,7 @@ func New(cfg Config) *AP {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.New(cfg.Env)
 	}
-	store := cachepolicy.NewStore(cfg.Env, cfg.CacheCapacity, cfg.MaxObjectSize, cfg.Policy, nil)
+	store := cachepolicy.NewStore(cfg.Env, cfg.CacheCapacity, cachepolicy.DefaultMaxObjectSize, cfg.Policy, nil)
 	store.Instrument(cfg.Telemetry, "apcache")
 	fwd := dnsd.NewForwarder(cfg.Env, cfg.Host, cfg.Rng, cfg.Upstream)
 	fwd.ProcessingDelay = cfg.PlainDNSProcessing
@@ -301,7 +290,7 @@ func (ap *AP) Start() error {
 		p, err := telemetry.NewPusher(telemetry.PushConfig{
 			Env: ap.cfg.Env, Tel: ap.cfg.Telemetry, Node: ap.nodeName(),
 			Host: ap.cfg.Host, Target: ap.cfg.FleetAddr,
-			Interval: ap.cfg.SnapshotInterval, SpanLimit: ap.cfg.SnapshotSpans,
+			Interval: ap.cfg.SnapshotInterval,
 		})
 		if err != nil {
 			ap.Stop()

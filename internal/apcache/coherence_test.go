@@ -274,6 +274,8 @@ func TestConcurrentDelegationsCoalesce(t *testing.T) {
 	})
 }
 
+// TestSweeperHonorsConfiguredInterval pins the sweep period to
+// DefaultSweepInterval on the virtual clock.
 func TestSweeperHonorsConfiguredInterval(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	sim.Run("main", func() {
@@ -284,7 +286,6 @@ func TestSweeperHonorsConfiguredInterval(t *testing.T) {
 			CacheCapacity: 1 << 20,
 			Policy:        cachepolicy.NewPACM(),
 			Rng:           rand.New(rand.NewSource(1)),
-			SweepInterval: 10 * time.Second,
 		})
 		if err := ap.Start(); err != nil {
 			t.Fatalf("ap.Start: %v", err)
@@ -295,13 +296,14 @@ func TestSweeperHonorsConfiguredInterval(t *testing.T) {
 		}
 		// Past the TTL but before the first sweep: the entry is lazily
 		// expired yet still resident.
-		sim.Sleep(5 * time.Second)
+		sim.Sleep(DefaultSweepInterval - time.Second)
 		if ap.Store().Len() != 1 {
 			t.Fatalf("entry swept early: len=%d", ap.Store().Len())
 		}
-		// The first sweep fires at t=10s on the virtual clock, so by 11s
-		// the entry is gone — deterministically, with no real time elapsed.
-		sim.Sleep(6 * time.Second)
+		// The first sweep fires at DefaultSweepInterval on the virtual
+		// clock, so a second later the entry is gone — deterministically,
+		// with no real time elapsed.
+		sim.Sleep(2 * time.Second)
 		if ap.Store().Len() != 0 {
 			t.Errorf("entry not swept: len=%d", ap.Store().Len())
 		}

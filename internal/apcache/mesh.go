@@ -73,7 +73,6 @@ func (ap *AP) startMesh() error {
 		Target:    ap.cfg.MeshAddr,
 		Store:     ap.store,
 		Interval:  ap.cfg.MeshInterval,
-		FPRate:    ap.cfg.MeshFPRate,
 		Telemetry: ap.cfg.Telemetry,
 	})
 	if err != nil {

@@ -173,9 +173,6 @@ func (ap *AP) reapPrefetchWaste() {
 
 // maybePrefetch inspects a delegation request for prefetch hints.
 func (ap *AP) maybePrefetch(req *httplite.Request, app string) {
-	if ap.cfg.DisablePrefetch {
-		return
-	}
 	specs := parsePrefetchHeader(req.Get("X-Ape-Prefetch"))
 	if len(specs) == 0 {
 		return

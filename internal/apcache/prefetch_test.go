@@ -78,7 +78,7 @@ func TestDelegationWithPrefetchWarmsDependents(t *testing.T) {
 	})
 }
 
-func TestPrefetchSkipsWarmObjectsAndCanBeDisabled(t *testing.T) {
+func TestPrefetchSkipsWarmObjects(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	sim.Run("main", func() {
 		fx := newFixture(t, sim)
@@ -97,21 +97,6 @@ func TestPrefetchSkipsWarmObjectsAndCanBeDisabled(t *testing.T) {
 		sim.Sleep(time.Second)
 		if fx.ap.Prefetches != 0 {
 			t.Errorf("Prefetches = %d, want 0 for warm object", fx.ap.Prefetches)
-		}
-
-		// Disabled: hints ignored entirely.
-		fx.ap.cfg.DisablePrefetch = true
-		req2 := httplite.NewRequest("POST", "ap", "/delegate")
-		req2.Body = []byte(fx.obj.URL)
-		req2.Set("X-Ape-App", "t")
-		req2.Set("X-Ape-Prefetch", fx.big.URL+";ttl=30;priority=1")
-		if resp, err := c.Do(fx.ap.HTTPAddr(), req2); err != nil || resp.Status != 200 {
-			t.Errorf("delegate: %v", err)
-			return
-		}
-		sim.Sleep(time.Second)
-		if fx.ap.Prefetches != 0 {
-			t.Errorf("Prefetches = %d with prefetching disabled", fx.ap.Prefetches)
 		}
 	})
 	sim.Shutdown()

@@ -125,18 +125,14 @@ const DefaultSweepInterval = time.Minute
 // virtual clock returns immediately — without this check the loop would
 // spin).
 func (ap *AP) startSweeper() {
-	interval := ap.cfg.SweepInterval
-	if interval <= 0 {
-		interval = DefaultSweepInterval
-	}
 	ap.cfg.Env.Go("apcache.sweeper", func() {
 		for {
 			before := ap.cfg.Env.Now()
-			ap.cfg.Env.Sleep(interval)
+			ap.cfg.Env.Sleep(DefaultSweepInterval)
 			ap.mu.Lock()
 			stopped := ap.stopped
 			ap.mu.Unlock()
-			if stopped || ap.cfg.Env.Now().Sub(before) < interval {
+			if stopped || ap.cfg.Env.Now().Sub(before) < DefaultSweepInterval {
 				return
 			}
 			ap.store.SweepExpired()

@@ -15,14 +15,6 @@ type DispatchConfig struct {
 	// Shards is the consistent-hash shard count for domain interest
 	// (default 8).
 	Shards int
-	// Workers is the size of the drain pool; each subscriber is pinned to
-	// one worker (default 4).
-	Workers int
-	// QueueLen bounds each subscriber's pending purge buffer; once full,
-	// further purges for that subscriber are dropped and counted — lost
-	// purges degrade to TTL expiry, like every other best-effort loss on
-	// the bus (default 1024).
-	QueueLen int
 	// FlushInterval is the coalescing tick: each worker drains its
 	// subscribers' queues once per interval (default 5ms).
 	FlushInterval time.Duration
@@ -30,41 +22,41 @@ type DispatchConfig struct {
 	// are split across consecutive POSTs within the same flush
 	// (default 256).
 	MaxBatch int
-	// MaxFailures is the consecutive delivery-failure count after which a
-	// subscriber is evicted (a restarted daemon re-registers through the
-	// idempotent subscribe path). 0 means the default 8; negative
-	// disables eviction.
-	MaxFailures int
 }
 
 // Dispatch defaults.
 const (
 	DefaultShards        = 8
-	DefaultWorkers       = 4
-	DefaultQueueLen      = 1024
 	DefaultFlushInterval = 5 * time.Millisecond
 	DefaultMaxBatch      = 256
-	DefaultMaxFailures   = 8
+)
+
+// Fixed dispatcher parameters.
+const (
+	// DefaultWorkers is the size of the drain pool; each subscriber is
+	// pinned to one worker.
+	DefaultWorkers = 4
+	// DefaultQueueLen bounds each subscriber's pending purge buffer; once
+	// full, further purges for that subscriber are dropped and counted —
+	// lost purges degrade to TTL expiry, like every other best-effort
+	// loss on the bus.
+	DefaultQueueLen = 1024
+	// DefaultMaxFailures is the consecutive delivery-failure count after
+	// which a subscriber is evicted, by the dispatcher and by the hub's
+	// legacy fan-out alike (a restarted daemon re-registers through the
+	// idempotent subscribe path).
+	DefaultMaxFailures = 8
 )
 
 func (c DispatchConfig) withDefaults() DispatchConfig {
 	if c.Shards <= 0 {
 		c.Shards = DefaultShards
 	}
-	if c.Workers <= 0 {
-		c.Workers = DefaultWorkers
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = DefaultQueueLen
-	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = DefaultFlushInterval
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxFailures == 0 {
-		c.MaxFailures = DefaultMaxFailures
 	}
 	return c
 }
@@ -88,6 +80,7 @@ type DispatchStats struct {
 
 // dispatchSub is one registered subscriber and its bounded queue.
 type dispatchSub struct {
+	key    string // sub.Addr.String(), fixed for the registration's life
 	sub    Subscription
 	shards map[int]struct{} // nil: interested in every shard
 	worker int
@@ -133,7 +126,7 @@ func NewDispatcher(env vclock.Env, client *httplite.Client, cfg DispatchConfig) 
 		subs:   make(map[string]*dispatchSub),
 	}
 	d.shards = NewShardMap(d.cfg.Shards)
-	for w := 0; w < d.cfg.Workers; w++ {
+	for w := 0; w < DefaultWorkers; w++ {
 		w := w
 		env.Go("coherence.dispatch", func() { d.runWorker(w) })
 	}
@@ -174,8 +167,8 @@ func (d *Dispatcher) Register(sub Subscription) {
 		s.mu.Unlock()
 		return
 	}
-	s := &dispatchSub{sub: sub, shards: shards, worker: d.nextW}
-	d.nextW = (d.nextW + 1) % d.cfg.Workers
+	s := &dispatchSub{key: key, sub: sub, shards: shards, worker: d.nextW}
+	d.nextW = (d.nextW + 1) % DefaultWorkers
 	d.subs[key] = s
 	d.order = append(d.order, s)
 }
@@ -244,7 +237,7 @@ func (d *Dispatcher) Broadcast(msg Msg) int {
 
 func (d *Dispatcher) enqueue(s *dispatchSub, msg Msg) {
 	s.mu.Lock()
-	if len(s.pending) >= d.cfg.QueueLen {
+	if len(s.pending) >= DefaultQueueLen {
 		s.mu.Unlock()
 		d.dropped.Add(1)
 		return
@@ -261,7 +254,7 @@ func (d *Dispatcher) Stats() DispatchStats {
 	st := DispatchStats{
 		Subscribers: len(subs),
 		Shards:      d.cfg.Shards,
-		Workers:     d.cfg.Workers,
+		Workers:     DefaultWorkers,
 		Batches:     d.batches.Load(),
 		Delivered:   d.delivered.Load(),
 		Dropped:     d.dropped.Load(),
@@ -309,7 +302,7 @@ func (d *Dispatcher) runWorker(w int) {
 // flush drains one subscriber's queue: batch-capable endpoints get the
 // whole queue as MsgBatch POSTs of up to MaxBatch messages, legacy
 // endpoints one single-Msg POST per purge. Consecutive failed POSTs
-// evict the registration once they reach MaxFailures.
+// evict the registration once they reach DefaultMaxFailures.
 func (d *Dispatcher) flush(s *dispatchSub) {
 	s.mu.Lock()
 	pending := s.pending
@@ -350,7 +343,7 @@ func (d *Dispatcher) flush(s *dispatchSub) {
 		s.failures++
 		failures := s.failures
 		s.mu.Unlock()
-		if d.cfg.MaxFailures > 0 && failures >= d.cfg.MaxFailures {
+		if failures >= DefaultMaxFailures {
 			d.evict(s)
 			d.dropped.Add(int64(len(pending) - end))
 			return
@@ -361,10 +354,9 @@ func (d *Dispatcher) flush(s *dispatchSub) {
 // evict removes a dead subscriber; its queued purges are dropped (they
 // degrade to TTL expiry) and a restarted daemon re-registers itself.
 func (d *Dispatcher) evict(s *dispatchSub) {
-	key := s.sub.Addr.String()
 	d.mu.Lock()
-	if cur, ok := d.subs[key]; ok && cur == s {
-		delete(d.subs, key)
+	if cur, ok := d.subs[s.key]; ok && cur == s {
+		delete(d.subs, s.key)
 		for i, o := range d.order {
 			if o == s {
 				d.order = append(d.order[:i], d.order[i+1:]...)

@@ -78,7 +78,7 @@ func TestDispatchBatchedEqualsPerMessage(t *testing.T) {
 			net.SetLink(n, "edge", simnet.Path{Latency: 5 * time.Millisecond})
 		}
 		hub := NewHub(sim, net.Node("edge"), nil)
-		hub.EnableDispatch(DispatchConfig{Shards: 8, Workers: 2, FlushInterval: 5 * time.Millisecond})
+		hub.EnableDispatch(DispatchConfig{Shards: 8, FlushInterval: 5 * time.Millisecond})
 		l, err := net.Node("edge").Listen(80)
 		if err != nil {
 			t.Errorf("listen: %v", err)
@@ -207,20 +207,23 @@ func TestDispatchShardRouting(t *testing.T) {
 	}
 }
 
-// TestDispatchEvictsDeadSubscriber: after MaxFailures consecutive failed
-// deliveries the dispatcher drops the registration; a re-subscribe (the
-// restarted daemon) re-registers it.
+// TestDispatchEvictsDeadSubscriber: after DefaultMaxFailures consecutive
+// failed deliveries the dispatcher drops the registration; a re-subscribe
+// (the restarted daemon) re-registers it.
 func TestDispatchEvictsDeadSubscriber(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	sim.Run("main", func() {
 		net := simnet.New(sim, 3)
 		net.SetLink("edge", "deadap", simnet.Path{Latency: time.Millisecond})
 		hub := NewHub(sim, net.Node("edge"), nil)
-		d := hub.EnableDispatch(DispatchConfig{FlushInterval: 2 * time.Millisecond, MaxFailures: 2})
+		d := hub.EnableDispatch(DispatchConfig{FlushInterval: 2 * time.Millisecond})
 		dead := Subscription{Addr: transport.Addr{Host: "deadap", Port: 8080}, Path: DefaultPurgePath}
 		d.Register(dead)
 
-		for i := 0; i < 2; i++ {
+		for i := 0; i < DefaultMaxFailures; i++ {
+			if st := d.Stats(); st.Evicted != 0 || st.Subscribers != 1 {
+				t.Fatalf("round %d: stats = %+v, want no eviction before %d failures", i, st, DefaultMaxFailures)
+			}
 			d.Publish(Msg{URL: "http://a.example/x", Version: int64(i + 1)})
 			sim.Sleep(50 * time.Millisecond) // one failed flush per round
 		}
@@ -251,7 +254,6 @@ func TestLegacyFanoutEvictsDeadSubscriber(t *testing.T) {
 		net.SetLink("edge", "deadap", simnet.Path{Latency: time.Millisecond})
 		net.SetLink("edge", "liveap", simnet.Path{Latency: time.Millisecond})
 		hub := NewHub(sim, net.Node("edge"), nil)
-		hub.MaxFailures = 2
 		live := startSink(t, sim, net, "liveap")
 		for _, host := range []string{"deadap", "liveap"} {
 			body := mustJSON(t, Subscription{Addr: transport.Addr{Host: host, Port: 8080}})
@@ -259,7 +261,10 @@ func TestLegacyFanoutEvictsDeadSubscriber(t *testing.T) {
 				t.Errorf("subscribe %s: %d", host, resp.Status)
 			}
 		}
-		for i := 0; i < 2; i++ {
+		for i := 0; i < DefaultMaxFailures; i++ {
+			if got := len(hub.Subscribers()); got != 2 {
+				t.Fatalf("round %d: subscribers = %d, want 2 before %d failures", i, got, DefaultMaxFailures)
+			}
 			resp := hub.ServeHTTP(&httplite.Request{Path: PathPublish, Body: mustJSON(t, Msg{URL: "http://a.example/x", Version: int64(i + 1)})})
 			if resp.Status != 200 {
 				t.Errorf("publish: %d", resp.Status)
@@ -272,8 +277,8 @@ func TestLegacyFanoutEvictsDeadSubscriber(t *testing.T) {
 		if st := hub.Stats(); st.Evicted != 1 {
 			t.Errorf("evicted = %d, want 1", st.Evicted)
 		}
-		if msgs, _ := live.snapshot(); len(msgs) != 2 {
-			t.Errorf("live subscriber got %d msgs, want 2", len(msgs))
+		if msgs, _ := live.snapshot(); len(msgs) != DefaultMaxFailures {
+			t.Errorf("live subscriber got %d msgs, want %d", len(msgs), DefaultMaxFailures)
 		}
 	})
 	sim.Shutdown()
@@ -321,9 +326,7 @@ func TestHubConcurrentSubscribePublishDispatch(t *testing.T) {
 			if mode == "dispatch" {
 				d = hub.EnableDispatch(DispatchConfig{
 					Shards:        8,
-					Workers:       4,
 					FlushInterval: time.Millisecond,
-					MaxFailures:   3,
 				})
 			}
 			const workers, rounds = 8, 200

@@ -30,13 +30,6 @@ type Hub struct {
 	// revalidating AP never re-fetches the stale bytes it just purged.
 	onPurge func(Msg)
 
-	// MaxFailures is the consecutive delivery-failure count after which
-	// the legacy fan-out evicts a subscriber (restarts re-subscribe via
-	// the idempotent replace path). Zero means DefaultMaxFailures;
-	// negative disables eviction. Set before serving traffic. A
-	// dispatcher, when enabled, applies its own DispatchConfig bound.
-	MaxFailures int
-
 	mu       sync.Mutex
 	subs     []Subscription
 	failures map[string]int // legacy path: consecutive failures by Addr.String()
@@ -270,16 +263,10 @@ func (h *Hub) handlePublish(req *httplite.Request) *httplite.Response {
 }
 
 // deliveryResult tracks consecutive legacy-path delivery failures and
-// evicts an endpoint once they reach MaxFailures: a dead AP must not be
-// dialed on every purge forever, and its restart re-subscribes anyway.
+// evicts an endpoint once they reach DefaultMaxFailures: a dead AP must
+// not be dialed on every purge forever, and its restart re-subscribes
+// anyway.
 func (h *Hub) deliveryResult(addr transport.Addr, ok bool) {
-	limit := h.MaxFailures
-	if limit == 0 {
-		limit = DefaultMaxFailures
-	}
-	if limit < 0 {
-		return
-	}
 	key := addr.String()
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -288,7 +275,7 @@ func (h *Hub) deliveryResult(addr transport.Addr, ok bool) {
 		return
 	}
 	h.failures[key]++
-	if h.failures[key] < limit {
+	if h.failures[key] < DefaultMaxFailures {
 		return
 	}
 	delete(h.failures, key)

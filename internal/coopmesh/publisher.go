@@ -27,7 +27,6 @@ type PublisherConfig struct {
 	Target   transport.Addr     // mesh directory (Wi-Cache controller) endpoint
 	Store    *cachepolicy.Store // cache to summarize
 	Interval time.Duration      // publish cadence; DefaultSummaryInterval when zero
-	FPRate   float64            // Bloom false-positive bound; DefaultFPRate when zero
 	// Telemetry, when set, receives publish counters and a staleness
 	// gauge. Leave nil on APs without the mesh so the metric families of
 	// mesh-off runs stay byte-identical.
@@ -61,9 +60,6 @@ func NewPublisher(cfg PublisherConfig) (*Publisher, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultSummaryInterval
-	}
-	if cfg.FPRate <= 0 || cfg.FPRate >= 1 {
-		cfg.FPRate = DefaultFPRate
 	}
 	p := &Publisher{cfg: cfg, client: httplite.NewClient(cfg.Host)}
 	if tel := cfg.Telemetry; tel != nil {
@@ -130,7 +126,7 @@ func (p *Publisher) Publish() error {
 	p.seq++
 	seq, gen := p.seq, p.gen
 	p.mu.Unlock()
-	sum := BuildSummary(p.cfg.Node, p.cfg.Addr, p.cfg.Store, p.cfg.FPRate, seq, gen)
+	sum := BuildSummary(p.cfg.Node, p.cfg.Addr, p.cfg.Store, seq, gen)
 	body, err := sum.Encode()
 	if err != nil {
 		p.pushErrs.Inc()

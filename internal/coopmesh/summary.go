@@ -33,15 +33,15 @@ type Summary struct {
 	Domains    []cachepolicy.MeshDomain `json:"domains,omitempty"`
 }
 
-// BuildSummary snapshots a store into a publishable summary. fpRate
-// bounds the Bloom false-positive rate (DefaultFPRate when zero).
-func BuildSummary(node string, addr transport.Addr, store *cachepolicy.Store, fpRate float64, seq, generation uint64) *Summary {
+// BuildSummary snapshots a store into a publishable summary whose Bloom
+// filter is sized for DefaultFPRate.
+func BuildSummary(node string, addr transport.Addr, store *cachepolicy.Store, seq, generation uint64) *Summary {
 	hashes, domains := store.MeshView()
 	sort.Slice(domains, func(i, j int) bool { return domains[i].Domain < domains[j].Domain })
 	s := &Summary{Node: node, Addr: addr, Seq: seq, Generation: generation,
 		Entries: len(hashes), Domains: domains}
 	if len(hashes) > 0 {
-		s.Bloom = NewBloom(len(hashes), fpRate)
+		s.Bloom = NewBloom(len(hashes), DefaultFPRate)
 		for _, h := range hashes {
 			s.Bloom.Add(h)
 		}

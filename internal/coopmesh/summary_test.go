@@ -50,7 +50,7 @@ func TestBuildSummaryMatchesStore(t *testing.T) {
 		}
 	}
 
-	s := BuildSummary("ap0", testAddr, store, 0, 1, 0)
+	s := BuildSummary("ap0", testAddr, store, 1, 0)
 	if s.Entries != len(fresh) {
 		t.Fatalf("Entries = %d, want %d (expired and stale excluded)", s.Entries, len(fresh))
 	}
@@ -78,7 +78,7 @@ func TestBuildSummaryMatchesStore(t *testing.T) {
 
 	// Digests are deterministic for an unchanged store and move when the
 	// served set changes.
-	again := BuildSummary("ap0", testAddr, store, 0, 2, 0)
+	again := BuildSummary("ap0", testAddr, store, 2, 0)
 	digests := func(s *Summary) map[string]uint64 {
 		out := map[string]uint64{}
 		for _, d := range s.Domains {
@@ -93,7 +93,7 @@ func TestBuildSummaryMatchesStore(t *testing.T) {
 		}
 	}
 	put(t, store, "http://d0.example/new", time.Hour)
-	after := digests(BuildSummary("ap0", testAddr, store, 0, 3, 0))
+	after := digests(BuildSummary("ap0", testAddr, store, 3, 0))
 	if after["d0.example"] == before["d0.example"] {
 		t.Error("d0 digest unchanged after adding an object")
 	}
@@ -106,7 +106,7 @@ func TestSummaryEncodeDecodeRoundTrip(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	store := cachepolicy.NewStore(sim, 5<<20, 0, cachepolicy.NewPACM(), nil)
 	put(t, store, "http://a.example/x", time.Hour)
-	s := BuildSummary("ap0", testAddr, store, 0, 7, 3)
+	s := BuildSummary("ap0", testAddr, store, 7, 3)
 	body, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestDecodeSummaryRejectsGarbage(t *testing.T) {
 func TestEmptySummary(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	store := cachepolicy.NewStore(sim, 5<<20, 0, cachepolicy.NewPACM(), nil)
-	s := BuildSummary("ap0", testAddr, store, 0, 1, 0)
+	s := BuildSummary("ap0", testAddr, store, 1, 0)
 	if s.Entries != 0 || s.Bloom != nil {
 		t.Fatalf("empty store summary: %+v", s)
 	}

@@ -152,49 +152,6 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) by linear
-// interpolation inside the bucket holding the target rank. Values above
-// the last bound clamp to it.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if i == len(h.bounds) {
-				return lo // +Inf bucket: clamp to the last bound
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 func (h *Histogram) collect(dst []Sample, labels string) []Sample {
 	var cum uint64
 	for i := range h.counts {

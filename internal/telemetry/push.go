@@ -17,20 +17,18 @@ const DefaultSnapshotPath = "/snapshot"
 // zero.
 const DefaultSnapshotInterval = 10 * time.Second
 
-// DefaultSnapshotSpans bounds the spans included per snapshot when
-// PushConfig leaves it zero.
+// DefaultSnapshotSpans bounds the spans included per snapshot.
 const DefaultSnapshotSpans = 64
 
 // PushConfig wires a Pusher to its bundle and its fleet controller.
 type PushConfig struct {
-	Env       vclock.Env     // clock and task spawner (virtual under simnet)
-	Tel       *Telemetry     // bundle to snapshot
-	Node      string         // node identity stamped on every snapshot
-	Host      transport.Host // local host to dial from
-	Target    transport.Addr // fleet controller snapshot endpoint
-	Path      string         // POST path; DefaultSnapshotPath when empty
-	Interval  time.Duration  // push cadence; DefaultSnapshotInterval when zero
-	SpanLimit int            // spans per snapshot; DefaultSnapshotSpans when zero, <0 disables
+	Env      vclock.Env     // clock and task spawner (virtual under simnet)
+	Tel      *Telemetry     // bundle to snapshot
+	Node     string         // node identity stamped on every snapshot
+	Host     transport.Host // local host to dial from
+	Target   transport.Addr // fleet controller snapshot endpoint
+	Path     string         // POST path; DefaultSnapshotPath when empty
+	Interval time.Duration  // push cadence; DefaultSnapshotInterval when zero
 }
 
 // Pusher periodically POSTs the bundle's telemetry snapshot to the
@@ -63,9 +61,6 @@ func NewPusher(cfg PushConfig) (*Pusher, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultSnapshotInterval
-	}
-	if cfg.SpanLimit == 0 {
-		cfg.SpanLimit = DefaultSnapshotSpans
 	}
 	return &Pusher{
 		cfg:      cfg,
@@ -107,11 +102,7 @@ func (p *Pusher) Push() error {
 	p.seq++
 	seq := p.seq
 	p.mu.Unlock()
-	spans := p.cfg.SpanLimit
-	if spans < 0 {
-		spans = 0
-	}
-	snap := p.cfg.Tel.BuildSnapshot(p.cfg.Node, seq, spans)
+	snap := p.cfg.Tel.BuildSnapshot(p.cfg.Node, seq, DefaultSnapshotSpans)
 	body, err := EncodeSnapshot(snap)
 	if err != nil {
 		p.pushErrs.Inc()

@@ -130,7 +130,7 @@ func TestHistogramQuantile(t *testing.T) {
 	if got := h.Count(); got != 1000 {
 		t.Fatalf("count = %d", got)
 	}
-	med := h.Quantile(0.5)
+	med := h.Data().Quantile(0.5)
 	// True median 50 lives in the (32,64] bucket; interpolation should
 	// land within that bucket and near the true value.
 	if med <= 32 || med > 64 {
@@ -139,11 +139,11 @@ func TestHistogramQuantile(t *testing.T) {
 	if math.Abs(med-50) > 15 {
 		t.Errorf("median estimate %v too far from 50", med)
 	}
-	if q := h.Quantile(0.99); q < 64 {
+	if q := h.Data().Quantile(0.99); q < 64 {
 		t.Errorf("p99 estimate %v implausibly low", q)
 	}
 	var empty *Histogram
-	if empty.Quantile(0.5) != 0 || empty.Count() != 0 {
+	if empty.Data().Quantile(0.5) != 0 || empty.Count() != 0 {
 		t.Error("nil histogram not zero-valued")
 	}
 }

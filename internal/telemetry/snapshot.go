@@ -91,9 +91,10 @@ func (d *HistData) Merge(o HistData) error {
 	return nil
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) with the same
-// linear interpolation Histogram.Quantile uses; values in the +Inf
-// bucket clamp to the last bound.
+// Quantile estimates the q-th quantile (0 < q <= 1) by linear
+// interpolation inside the bucket holding the target rank; values in the
+// +Inf bucket clamp to the last bound. Read a live Histogram's quantiles
+// through h.Data().Quantile(q).
 func (d HistData) Quantile(q float64) float64 {
 	total := d.Count()
 	if total == 0 || !d.Valid() {

@@ -30,17 +30,6 @@ type FleetConfig struct {
 	NumAPs int
 	// Seed drives the simnet and traffic RNG (default 1).
 	Seed int64
-	// CacheCapacity per AP (default 5 MB).
-	CacheCapacity int64
-	// WarmObjects is each AP's working-set size (default 8).
-	WarmObjects int
-	// SnapshotInterval is the telemetry push cadence (default 5s).
-	SnapshotInterval time.Duration
-	// HealthWindow and SLOs pass through to the fleet store.
-	HealthWindow time.Duration
-	SLOs         []wicache.SLO
-	// SampleEvery is the client trace sampling rate (default 4).
-	SampleEvery int
 }
 
 func (c *FleetConfig) applyDefaults() {
@@ -50,19 +39,15 @@ func (c *FleetConfig) applyDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 5 << 20
-	}
-	if c.WarmObjects <= 0 {
-		c.WarmObjects = 8
-	}
-	if c.SnapshotInterval <= 0 {
-		c.SnapshotInterval = 5 * time.Second
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 4
-	}
 }
+
+// Per-AP fleet parameters.
+const (
+	fleetCacheCapacity    = 5 << 20         // AP cache size
+	fleetWarmObjects      = 8               // each AP's working-set size
+	fleetSnapshotInterval = 5 * time.Second // telemetry push cadence
+	fleetSampleEvery      = 4               // trace one request in n (APs and clients)
+)
 
 // coldPoolSize is the per-AP brownout URL pool: unique cold objects a
 // browned-out AP's client cycles through (half resolvable at the edge,
@@ -143,7 +128,7 @@ func NewFleet(sim *vclock.Sim, cfg FleetConfig) (*Fleet, error) {
 	f.warm = make([][]string, cfg.NumAPs)
 	for i := 0; i < cfg.NumAPs; i++ {
 		app := fmt.Sprintf("app%02d", i)
-		for j := 0; j < cfg.WarmObjects; j++ {
+		for j := 0; j < fleetWarmObjects; j++ {
 			u := fmt.Sprintf("http://%s.fleet.example/obj%d", app, j)
 			objs = append(objs, &objstore.Object{URL: u, App: app, Size: 16 << 10,
 				TTL: time.Hour, Priority: objstore.PriorityHigh, OriginDelay: 5 * time.Millisecond})
@@ -173,11 +158,7 @@ func NewFleet(sim *vclock.Sim, cfg FleetConfig) (*Fleet, error) {
 	f.ControllerTel = telemetry.New(sim)
 	f.Controller = wicache.NewController(sim, f.Net.Node(ctlNode))
 	f.Controller.Instrument(f.ControllerTel)
-	f.Store = f.Controller.EnableFleet(wicache.FleetConfig{
-		SLOs:             cfg.SLOs,
-		SnapshotInterval: cfg.SnapshotInterval,
-		HealthWindow:     cfg.HealthWindow,
-	})
+	f.Store = f.Controller.EnableFleet(wicache.FleetConfig{SnapshotInterval: fleetSnapshotInterval})
 	if err := f.Controller.Start(0); err != nil {
 		return nil, fmt.Errorf("fleet controller: %w", err)
 	}
@@ -186,17 +167,17 @@ func NewFleet(sim *vclock.Sim, cfg FleetConfig) (*Fleet, error) {
 	edgeAddr := transport.Addr{Host: edgeNode, Port: 80}
 	for i := 0; i < cfg.NumAPs; i++ {
 		tel := telemetry.New(sim)
-		tel.Tracer.SetSampleEvery(cfg.SampleEvery)
+		tel.Tracer.SetSampleEvery(fleetSampleEvery)
 		ap := apcache.New(apcache.Config{
 			Env:              sim,
 			Host:             f.Net.Node(fleetAPName(i)),
 			EdgeAddr:         edgeAddr,
-			CacheCapacity:    cfg.CacheCapacity,
+			CacheCapacity:    fleetCacheCapacity,
 			Rng:              rand.New(rand.NewSource(cfg.Seed + int64(i) + 101)),
 			HTTPProcessing:   900 * time.Microsecond,
 			Telemetry:        tel,
 			FleetAddr:        ctlAddr,
-			SnapshotInterval: cfg.SnapshotInterval,
+			SnapshotInterval: fleetSnapshotInterval,
 		})
 		if err := ap.Start(); err != nil {
 			return nil, fmt.Errorf("fleet %s: %w", fleetAPName(i), err)
@@ -209,14 +190,14 @@ func NewFleet(sim *vclock.Sim, cfg FleetConfig) (*Fleet, error) {
 	// The edge tier and the client driver push snapshots too, so their
 	// spans join stitched traces at the controller.
 	var err error
-	if f.edgePsh, err = f.Edge.PushSnapshots(f.Net.Node(edgeNode), ctlAddr, cfg.SnapshotInterval); err != nil {
+	if f.edgePsh, err = f.Edge.PushSnapshots(f.Net.Node(edgeNode), ctlAddr, fleetSnapshotInterval); err != nil {
 		return nil, fmt.Errorf("fleet edge pusher: %w", err)
 	}
 	f.ClientTel = telemetry.New(sim)
-	f.ClientTel.Tracer.SetSampleEvery(cfg.SampleEvery)
+	f.ClientTel.Tracer.SetSampleEvery(fleetSampleEvery)
 	f.clientPsh, err = telemetry.NewPusher(telemetry.PushConfig{
 		Env: sim, Tel: f.ClientTel, Node: "clients", Host: f.Net.Node(fleetClientName(0)),
-		Target: ctlAddr, Interval: cfg.SnapshotInterval,
+		Target: ctlAddr, Interval: fleetSnapshotInterval,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet client pusher: %w", err)

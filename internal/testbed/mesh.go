@@ -28,18 +28,10 @@ type MeshConfig struct {
 	NumAPs int
 	// Seed drives the simnet RNG (default 1).
 	Seed int64
-	// CacheCapacity per AP (default 5 MB).
-	CacheCapacity int64
 	// MeshEnabled wires the APs to the mesh directory; off means the
 	// same topology and traffic with every miss delegated to the edge —
 	// the baseline the coop experiment compares against.
 	MeshEnabled bool
-	// SharedObjects is the rotating content pool size (default 24).
-	SharedObjects int
-	// ObjectSize is the per-object payload (default 24 KB).
-	ObjectSize int
-	// SummaryInterval is the mesh publish cadence (default 2s).
-	SummaryInterval time.Duration
 }
 
 func (c *MeshConfig) applyDefaults() {
@@ -49,25 +41,21 @@ func (c *MeshConfig) applyDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 5 << 20
-	}
-	if c.SharedObjects <= 0 {
-		c.SharedObjects = 24
-	}
-	if c.ObjectSize <= 0 {
-		c.ObjectSize = 24 << 10
-	}
-	if c.SummaryInterval <= 0 {
-		c.SummaryInterval = 2 * time.Second
-	}
 }
+
+// Mesh workload and per-AP parameters.
+const (
+	meshCacheCapacity   = 5 << 20         // AP cache size
+	meshSharedObjects   = 24              // rotating content pool size
+	meshObjectSize      = 24 << 10        // per-object payload
+	meshSummaryInterval = 2 * time.Second // mesh publish cadence
+)
 
 // meshStride is the per-AP phase shift of the rotating request pattern:
 // AP i requests object (tick + i*meshStride) mod pool. Coprime with the
-// default pool size, so every AP eventually touches every object, and
-// large enough that a summary published at the default cadence has
-// landed before a peer asks for the object.
+// pool size, so every AP eventually touches every object, and large
+// enough that a summary published at meshSummaryInterval has landed
+// before a peer asks for the object.
 const meshStride = 5
 
 // Mesh is a running cooperative-mesh testbed. Build it inside a sim
@@ -124,9 +112,9 @@ func NewMesh(sim *vclock.Sim, cfg MeshConfig) (*Mesh, error) {
 	// Shared catalog: every AP's clients draw from the same pool, phase
 	// shifted, so the mesh has real overlap to exploit.
 	var objs []*objstore.Object
-	for k := 0; k < cfg.SharedObjects; k++ {
+	for k := 0; k < meshSharedObjects; k++ {
 		u := fmt.Sprintf("http://shared.mesh.example/obj%d", k)
-		objs = append(objs, &objstore.Object{URL: u, App: "mesh", Size: cfg.ObjectSize,
+		objs = append(objs, &objstore.Object{URL: u, App: "mesh", Size: meshObjectSize,
 			TTL: time.Hour, Priority: objstore.PriorityHigh, OriginDelay: 5 * time.Millisecond})
 		m.pool = append(m.pool, u)
 	}
@@ -156,14 +144,14 @@ func NewMesh(sim *vclock.Sim, cfg MeshConfig) (*Mesh, error) {
 			Env:            sim,
 			Host:           m.Net.Node(meshAPName(i)),
 			EdgeAddr:       edgeAddr,
-			CacheCapacity:  cfg.CacheCapacity,
+			CacheCapacity:  meshCacheCapacity,
 			Rng:            rand.New(rand.NewSource(cfg.Seed + int64(i) + 101)),
 			HTTPProcessing: 900 * time.Microsecond,
 			NodeName:       meshAPName(i),
 		}
 		if cfg.MeshEnabled {
 			apCfg.MeshAddr = m.Controller.Addr()
-			apCfg.MeshInterval = cfg.SummaryInterval
+			apCfg.MeshInterval = meshSummaryInterval
 		}
 		ap := apcache.New(apCfg)
 		if err := ap.Start(); err != nil {

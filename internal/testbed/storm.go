@@ -18,9 +18,9 @@ import (
 )
 
 // StormConfig assembles the fleet-storm testbed: an edge coherence hub
-// over C Wi-Cache controllers, each fronting A purge-sink APs (the
-// default 16x64 = 1024 APs), hit with a concurrent purge storm plus one
-// flash-crowd object resident on a whole controller's fleet.
+// over stormControllers Wi-Cache controllers, each fronting A purge-sink
+// APs (the default 16x64 = 1024 APs), hit with a concurrent purge storm
+// plus one flash-crowd object resident on a whole controller's fleet.
 //
 // The same topology runs in two fan-out modes. Legacy relays every
 // publication to every controller and from there to every AP, one POST
@@ -30,63 +30,45 @@ import (
 // the APs recorded as holding the object. The effective purge set —
 // resident copies actually evicted — must come out identical either way.
 type StormConfig struct {
-	// Controllers is the Wi-Cache controller count (default 16).
-	Controllers int
 	// APsPerController sizes each controller's AP fleet (default 64).
 	APsPerController int
-	// Domains is the object-domain count, assigned round-robin to
-	// controllers (default 64).
-	Domains int
 	// Objects is the purge-storm size: distinct objects purged, spread
 	// round-robin over the domains (default 96).
 	Objects int
-	// HoldersPerObject seeds that many resident copies per object on the
-	// home controller's APs (default 8, capped at APsPerController).
-	HoldersPerObject int
-	// FlashCrowdHolders replicates object 0 this widely on its home
-	// controller — the flash crowd (default APsPerController).
-	FlashCrowdHolders int
 	// Sharded enables the dispatcher at the hub and every controller;
 	// false runs the legacy goroutine-per-delivery fan-out.
 	Sharded bool
-	// Dispatch tunes the dispatchers when Sharded (zero fields default).
-	Dispatch coherence.DispatchConfig
 	// Seed drives the simnet and holder placement (default 1).
 	Seed int64
-	// Settle is the post-storm drain time before counters are read
-	// (default 2s — several flush ticks plus both relay hops).
-	Settle time.Duration
 }
 
 func (c *StormConfig) applyDefaults() {
-	if c.Controllers <= 0 {
-		c.Controllers = 16
-	}
 	if c.APsPerController <= 0 {
 		c.APsPerController = 64
-	}
-	if c.Domains <= 0 {
-		c.Domains = 64
 	}
 	if c.Objects <= 0 {
 		c.Objects = 96
 	}
-	if c.HoldersPerObject <= 0 {
-		c.HoldersPerObject = 8
-	}
-	if c.HoldersPerObject > c.APsPerController {
-		c.HoldersPerObject = c.APsPerController
-	}
-	if c.FlashCrowdHolders <= 0 || c.FlashCrowdHolders > c.APsPerController {
-		c.FlashCrowdHolders = c.APsPerController
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Settle <= 0 {
-		c.Settle = 2 * time.Second
-	}
 }
+
+// Storm topology and timing.
+const (
+	// stormControllers is the Wi-Cache controller count.
+	stormControllers = 16
+	// stormDomains is the object-domain count, assigned round-robin to
+	// controllers.
+	stormDomains = 64
+	// stormHoldersPerObject seeds that many resident copies per object
+	// on the home controller's APs (capped at APsPerController). Object
+	// 0, the flash crowd, is resident on every AP of its home controller.
+	stormHoldersPerObject = 8
+	// stormSettle is the post-storm drain time before counters are read:
+	// several flush ticks plus both relay hops.
+	stormSettle = 2 * time.Second
+)
 
 // StormResult is one storm run's outcome.
 type StormResult struct {
@@ -142,8 +124,8 @@ func (a *stormAP) handlePurge(req *httplite.Request) *httplite.Response {
 }
 
 func stormDomain(d int) string { return fmt.Sprintf("dom%02d.storm.example", d) }
-func stormObjURL(k, domains int) string {
-	return fmt.Sprintf("http://%s/obj%d", stormDomain(k%domains), k)
+func stormObjURL(k int) string {
+	return fmt.Sprintf("http://%s/obj%d", stormDomain(k%stormDomains), k)
 }
 func stormCtlName(c int) string   { return fmt.Sprintf("ctl%02d", c) }
 func stormAPName(c, a int) string { return fmt.Sprintf("c%02da%02d", c, a) }
@@ -156,7 +138,7 @@ func RunStorm(cfg StormConfig) (*StormResult, error) {
 	cfg.applyDefaults()
 	sim := vclock.NewSim(time.Time{})
 	res := &StormResult{
-		FleetSize: cfg.Controllers * cfg.APsPerController,
+		FleetSize: stormControllers * cfg.APsPerController,
 		Objects:   cfg.Objects,
 	}
 	var runErr error
@@ -179,7 +161,7 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 	)
 	net := simnet.New(sim, cfg.Seed)
 	net.SetLink(originNode, hubNode, simnet.Path{Latency: 5 * time.Millisecond, Hops: 3})
-	for c := 0; c < cfg.Controllers; c++ {
+	for c := 0; c < stormControllers; c++ {
 		net.SetLink(hubNode, stormCtlName(c), simnet.Path{Latency: 10 * time.Millisecond, Hops: 8})
 		for a := 0; a < cfg.APsPerController; a++ {
 			net.SetLink(stormCtlName(c), stormAPName(c, a), simnet.Path{Latency: 2500 * time.Microsecond, Hops: 2})
@@ -190,7 +172,7 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 	// plane alone.
 	hub := coherence.NewHub(sim, net.Node(hubNode), nil)
 	if cfg.Sharded {
-		hub.EnableDispatch(cfg.Dispatch)
+		hub.EnableDispatch(coherence.DispatchConfig{})
 	}
 	hubL, err := net.Node(hubNode).Listen(80)
 	if err != nil {
@@ -202,12 +184,12 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 
 	// Controllers and their purge-sink APs.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	controllers := make([]*wicache.Controller, cfg.Controllers)
-	aps := make([][]*stormAP, cfg.Controllers)
-	for c := 0; c < cfg.Controllers; c++ {
+	controllers := make([]*wicache.Controller, stormControllers)
+	aps := make([][]*stormAP, stormControllers)
+	for c := 0; c < stormControllers; c++ {
 		ctl := wicache.NewController(sim, net.Node(stormCtlName(c)))
 		if cfg.Sharded {
-			ctl.EnableDispatch(cfg.Dispatch)
+			ctl.EnableDispatch(coherence.DispatchConfig{})
 		}
 		for a := 0; a < cfg.APsPerController; a++ {
 			ap := &stormAP{
@@ -233,8 +215,8 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 		defer ctl.Stop()
 		if cfg.Sharded {
 			var domains []string
-			for d := 0; d < cfg.Domains; d++ {
-				if d%cfg.Controllers == c {
+			for d := 0; d < stormDomains; d++ {
+				if d%stormControllers == c {
 					domains = append(domains, stormDomain(d))
 				}
 			}
@@ -249,18 +231,18 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 		controllers[c] = ctl
 	}
 
-	// Seed residency: every object lands on HoldersPerObject APs of its
-	// home controller (object 0 — the flash-crowd object — on
-	// FlashCrowdHolders of them), recorded both AP-side and in the home
-	// controller's location table via the AP's own content report.
+	// Seed residency: every object lands on stormHoldersPerObject APs of
+	// its home controller (object 0 — the flash-crowd object — on all of
+	// them), recorded both AP-side and in the home controller's location
+	// table via the AP's own content report.
 	seeded := make(map[*stormAP][]string)
 	homes := make(map[*stormAP]int)
 	for k := 0; k < cfg.Objects; k++ {
-		url := stormObjURL(k, cfg.Domains)
-		home := (k % cfg.Domains) % cfg.Controllers
-		holders := cfg.HoldersPerObject
+		url := stormObjURL(k)
+		home := (k % stormDomains) % stormControllers
+		holders := min(stormHoldersPerObject, cfg.APsPerController)
 		if k == 0 {
-			holders = cfg.FlashCrowdHolders
+			holders = cfg.APsPerController
 		}
 		for _, a := range rng.Perm(cfg.APsPerController)[:holders] {
 			ap := aps[home][a]
@@ -290,7 +272,7 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 		done int
 	)
 	for k := 0; k < cfg.Objects; k++ {
-		url := stormObjURL(k, cfg.Domains)
+		url := stormObjURL(k)
 		sim.Go("storm.pub", func() {
 			start := sim.Now()
 			err := coherence.Publish(pub, hubAddr, coherence.Msg{URL: url, Version: 2})
@@ -311,7 +293,7 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 			break
 		}
 	}
-	sim.Sleep(cfg.Settle)
+	sim.Sleep(stormSettle)
 
 	// Drain the counters.
 	res.Publications = cfg.Objects

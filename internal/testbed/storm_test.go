@@ -5,14 +5,11 @@ import (
 	"testing"
 )
 
-// stormTestConfig is a reduced-scale storm: 8 controllers x 16 APs.
+// stormTestConfig is a reduced-scale storm: 16 controllers x 16 APs.
 func stormTestConfig(sharded bool) StormConfig {
 	return StormConfig{
-		Controllers:      8,
 		APsPerController: 16,
-		Domains:          32,
 		Objects:          48,
-		HoldersPerObject: 4,
 		Sharded:          sharded,
 		Seed:             7,
 	}
@@ -32,9 +29,9 @@ func TestStormShardedMatchesLegacy(t *testing.T) {
 		t.Fatalf("sharded storm: %v", err)
 	}
 
-	// 47 objects x 4 holders + the flash-crowd object on all 16 APs of
-	// its home controller.
-	wantEffective := 47*4 + 16
+	// 47 objects x stormHoldersPerObject (8) holders + the flash-crowd
+	// object on all 16 APs of its home controller.
+	wantEffective := 47*8 + 16
 	if len(legacy.Effective) != wantEffective {
 		t.Errorf("legacy effective purges = %d, want %d", len(legacy.Effective), wantEffective)
 	}

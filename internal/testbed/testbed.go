@@ -73,7 +73,8 @@ const (
 )
 
 // Config parameterizes a testbed. Zero values take the calibrated
-// defaults that reproduce the paper's absolute latencies.
+// defaults; the link latencies that reproduce the paper's absolute
+// numbers are fixed (wifiLatency, edgeLatency).
 type Config struct {
 	Suite *workload.Suite
 	// CacheCapacity is the AP cache size (default 5 MB, §V-B).
@@ -81,10 +82,6 @@ type Config struct {
 	Seed          int64
 	// Resources, when set, receives AP-side accounting events.
 	Resources apcache.ResourceSink
-	// WiFiLatency overrides the client<->AP one-way latency.
-	WiFiLatency time.Duration
-	// EdgeLatency overrides the AP<->edge one-way latency.
-	EdgeLatency time.Duration
 	// DisableDummyIP turns off the AP's dummy-IP short circuit
 	// (ablation benchmarks).
 	DisableDummyIP bool
@@ -131,16 +128,17 @@ func (c *Config) applyDefaults() {
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 5 << 20
 	}
-	if c.WiFiLatency == 0 {
-		// WiFi RTT ≈ 5 ms plus jitter: half-duplex contention on a busy
-		// 2.4/5 GHz link, per the paper's measured 7.5 ms lookups.
-		c.WiFiLatency = 2500 * time.Microsecond
-	}
-	if c.EdgeLatency == 0 {
-		// 7 hops to the edge desktop: RTT ≈ 24 ms.
-		c.EdgeLatency = 12 * time.Millisecond
-	}
 }
+
+// One-way latencies of the calibrated Fig 9 links.
+const (
+	// wifiLatency gives a WiFi RTT ≈ 5 ms plus jitter: half-duplex
+	// contention on a busy 2.4/5 GHz link, per the paper's measured
+	// 7.5 ms lookups.
+	wifiLatency = 2500 * time.Microsecond
+	// edgeLatency is 7 hops to the edge desktop: RTT ≈ 24 ms.
+	edgeLatency = 12 * time.Millisecond
+)
 
 // Testbed is an assembled environment for one system.
 type Testbed struct {
@@ -186,13 +184,13 @@ func New(sim *vclock.Sim, system System, cfg Config) (*Testbed, error) {
 
 	net := simnet.New(sim, cfg.Seed)
 	tb.Net = net
-	wifi := simnet.Path{Latency: cfg.WiFiLatency, Jitter: cfg.WiFiLatency / 5, Hops: 1, Bandwidth: 40 << 20}
+	wifi := simnet.Path{Latency: wifiLatency, Jitter: wifiLatency / 5, Hops: 1, Bandwidth: 40 << 20}
 	net.SetLink(NodeClient, NodeAP, wifi)
 	// The AP's uplink is the constrained leg (consumer broadband): it
 	// makes delegated-fetch latency grow with object size, which is what
 	// differentiates l_d across objects for PACM.
-	net.SetLink(NodeAP, NodeEdge, simnet.Path{Latency: cfg.EdgeLatency, Jitter: time.Millisecond, Hops: 7, Bandwidth: 18 << 20})
-	net.SetLink(NodeClient, NodeEdge, simnet.Path{Latency: cfg.WiFiLatency + cfg.EdgeLatency, Jitter: time.Millisecond, Hops: 8, Bandwidth: 40 << 20})
+	net.SetLink(NodeAP, NodeEdge, simnet.Path{Latency: edgeLatency, Jitter: time.Millisecond, Hops: 7, Bandwidth: 18 << 20})
+	net.SetLink(NodeClient, NodeEdge, simnet.Path{Latency: wifiLatency + edgeLatency, Jitter: time.Millisecond, Hops: 8, Bandwidth: 40 << 20})
 	net.SetLink(NodeEdge, NodeOrigin, simnet.Path{Latency: 25 * time.Millisecond, Jitter: 2 * time.Millisecond, Hops: 12, Bandwidth: 100 << 20})
 	net.SetLink(NodeAP, NodeLDNS, simnet.Path{Latency: 4 * time.Millisecond, Jitter: 500 * time.Microsecond, Hops: 3})
 	net.SetLink(NodeLDNS, NodeADNS, simnet.Path{Latency: 6 * time.Millisecond, Jitter: time.Millisecond, Hops: 6})

@@ -2,6 +2,9 @@ package wicache
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -160,6 +163,136 @@ func TestAPServerSweeperEvictsExpired(t *testing.T) {
 			t.Errorf("not swept: len=%d", ap.Store().Len())
 		}
 		ap.Stop()
+	})
+	sim.Shutdown()
+	sim.Wait()
+	if err := sim.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countingEnv wraps an Env and tracks, per task name, how many of the
+// tasks it spawned are still running.
+type countingEnv struct {
+	vclock.Env
+	mu   sync.Mutex
+	live map[string]int
+}
+
+func (e *countingEnv) Go(name string, fn func()) {
+	e.mu.Lock()
+	e.live[name]++
+	e.mu.Unlock()
+	e.Env.Go(name, func() {
+		defer func() {
+			e.mu.Lock()
+			e.live[name]--
+			e.mu.Unlock()
+		}()
+		fn()
+	})
+}
+
+func (e *countingEnv) running(name string) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.live[name]
+}
+
+// TestControllerStopHaltsRelayDispatcher: once the controller stops, its
+// relay dispatcher's workers exit within a flush tick instead of waking
+// every tick until the process ends.
+func TestControllerStopHaltsRelayDispatcher(t *testing.T) {
+	sim := vclock.NewSim(time.Time{})
+	sim.Run("main", func() {
+		env := &countingEnv{Env: sim, live: make(map[string]int)}
+		net := simnet.New(sim, 1)
+		controller := NewController(env, net.Node("ec2"))
+		controller.EnableDispatch(coherence.DispatchConfig{})
+		if err := controller.Start(0); err != nil {
+			t.Errorf("controller: %v", err)
+			return
+		}
+		if got := env.running("coherence.dispatch"); got != coherence.DefaultWorkers {
+			t.Errorf("dispatch workers running = %d, want %d", got, coherence.DefaultWorkers)
+		}
+		controller.Stop()
+		sim.Sleep(2 * coherence.DefaultFlushInterval)
+		if got := env.running("coherence.dispatch"); got != 0 {
+			t.Errorf("dispatch workers still running after Stop: %d", got)
+		}
+	})
+	sim.Shutdown()
+	sim.Wait()
+	if err := sim.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestControllerRelaysInRegistrationOrder: the legacy purge relay dials
+// the fleet in AP registration order (a re-registered AP keeps its
+// place), so on equal-latency links the purges arrive in that order; the
+// fill fallback and the dispatcher registration walk the same order.
+func TestControllerRelaysInRegistrationOrder(t *testing.T) {
+	sim := vclock.NewSim(time.Time{})
+	sim.Run("main", func() {
+		net := simnet.New(sim, 1)
+		controller := NewController(sim, net.Node("ec2"))
+		var (
+			mu       sync.Mutex
+			arrivals []string
+			order    []string
+		)
+		for i := 0; i < 16; i++ {
+			// Registration order differs from name order.
+			name := fmt.Sprintf("ap%02d", (i*7)%16)
+			order = append(order, name)
+			net.SetLink("ec2", name, simnet.Path{Latency: 2 * time.Millisecond})
+			mux := httplite.NewMux()
+			mux.HandleFunc(coherence.DefaultPurgePath, func(*httplite.Request) *httplite.Response {
+				mu.Lock()
+				arrivals = append(arrivals, name)
+				mu.Unlock()
+				return httplite.NewResponse(200, nil)
+			})
+			l, err := net.Node(name).Listen(80)
+			if err != nil {
+				t.Errorf("%s listen: %v", name, err)
+				return
+			}
+			srv := httplite.NewServer(sim, mux)
+			sim.Go(name+".server", func() { srv.Serve(l) })
+			addr := transport.Addr{Host: name, Port: 80}
+			controller.RegisterAP(name, addr, addr)
+		}
+		// Re-registering an AP must not move it to the back.
+		controller.RegisterAP(order[0], transport.Addr{Host: order[0], Port: 80}, transport.Addr{Host: order[0], Port: 80})
+
+		if fill, ok := controller.fillTarget("unknown-ap"); !ok || fill.Host != order[0] {
+			t.Errorf("fill fallback = %v (%v), want first registered AP %s", fill, ok, order[0])
+		}
+
+		body := []byte(`{"url":"http://api.m.example/chunk","version":2}`)
+		if resp := controller.handlePurge(&httplite.Request{Body: body}); resp.Status != 200 {
+			t.Errorf("purge: status %d", resp.Status)
+		}
+		sim.Sleep(time.Second)
+		mu.Lock()
+		got := append([]string(nil), arrivals...)
+		mu.Unlock()
+		if !reflect.DeepEqual(got, order) {
+			t.Errorf("purge arrival order\n got %v\nwant %v", got, order)
+		}
+
+		d := controller.EnableDispatch(coherence.DispatchConfig{})
+		defer d.Stop()
+		var registered []string
+		for _, sub := range d.Subscribers() {
+			registered = append(registered, sub.Addr.Host)
+		}
+		if !reflect.DeepEqual(registered, order) {
+			t.Errorf("dispatcher registration order\n got %v\nwant %v", registered, order)
+		}
 	})
 	sim.Shutdown()
 	sim.Wait()

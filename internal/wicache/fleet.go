@@ -11,21 +11,21 @@ import (
 	"apecache/internal/vclock"
 )
 
-// FleetConfig tunes the controller's fleet observability store.
+// FleetConfig tunes the controller's fleet observability store, which
+// evaluates DefaultSLOs on every ingest.
 type FleetConfig struct {
-	// SLOs to evaluate on every ingest; nil means DefaultSLOs.
-	SLOs []SLO
 	// SnapshotInterval is the cadence APs are expected to push at; it
 	// drives the snapshot-staleness health signal. Defaults to
 	// telemetry.DefaultSnapshotInterval.
 	SnapshotInterval time.Duration
-	// HealthWindow is the trailing window health rates are computed
-	// over. Defaults to one minute.
-	HealthWindow time.Duration
-	// ExemplarCount bounds the slowest-span exemplars kept per latency
-	// metric. Defaults to 5.
-	ExemplarCount int
 }
+
+// healthWindow is the trailing window health rates are computed over.
+const healthWindow = time.Minute
+
+// exemplarCount bounds the slowest-span exemplars kept per latency
+// metric.
+const exemplarCount = 5
 
 // Exemplar links a latency distribution to one concrete slow request:
 // a trace ID the operator can feed straight into `apectl trace`.
@@ -121,24 +121,15 @@ type FleetStore struct {
 // NewFleetStore builds a fleet store; tel may be nil (no stitched
 // traces or event lines, aggregation still works).
 func NewFleetStore(env vclock.Env, tel *telemetry.Telemetry, cfg FleetConfig) *FleetStore {
-	if cfg.SLOs == nil {
-		cfg.SLOs = DefaultSLOs()
-	}
 	if cfg.SnapshotInterval <= 0 {
 		cfg.SnapshotInterval = telemetry.DefaultSnapshotInterval
-	}
-	if cfg.HealthWindow <= 0 {
-		cfg.HealthWindow = time.Minute
-	}
-	if cfg.ExemplarCount <= 0 {
-		cfg.ExemplarCount = 5
 	}
 	f := &FleetStore{
 		env:       env,
 		tel:       tel,
 		cfg:       cfg,
 		aps:       make(map[string]*apState),
-		engine:    newAlertEngine(cfg.SLOs),
+		engine:    newAlertEngine(DefaultSLOs()),
 		exemplars: make(map[string][]Exemplar),
 		seen:      make(map[spanKey]struct{}),
 	}
@@ -182,7 +173,7 @@ func (f *FleetStore) Ingest(snap *telemetry.Snapshot) error {
 	st.points = append(st.points, hp)
 	// Keep the window reference anchored: drop points only when the
 	// next one is already older than the window cutoff.
-	cut := now.Add(-2 * f.cfg.HealthWindow)
+	cut := now.Add(-2 * healthWindow)
 	i := 0
 	for i+1 < len(st.points) && st.points[i+1].t.Before(cut) {
 		i++
@@ -225,8 +216,8 @@ func (f *FleetStore) stitchSpans(snap *telemetry.Snapshot) {
 			Trace: sp.Trace.String(), Node: sp.Node, Span: sp.Name, Seconds: sp.Duration.Seconds(),
 		})
 		sort.SliceStable(ex, func(i, j int) bool { return ex[i].Seconds > ex[j].Seconds })
-		if len(ex) > f.cfg.ExemplarCount {
-			ex = ex[:f.cfg.ExemplarCount]
+		if len(ex) > exemplarCount {
+			ex = ex[:exemplarCount]
 		}
 		f.exemplars[metric] = ex
 	}
@@ -236,8 +227,8 @@ func (f *FleetStore) stitchSpans(snap *telemetry.Snapshot) {
 // cumulative (good, total), feeds the per-AP and fleet-aggregate burn
 // series, and runs the alert state machine.
 func (f *FleetStore) evaluateSLOs(now time.Time) {
-	for i := range f.cfg.SLOs {
-		slo := &f.cfg.SLOs[i]
+	for i := range f.engine.slos {
+		slo := &f.engine.slos[i]
 		var fleetGood, fleetTotal float64
 		for _, name := range f.order {
 			st := f.aps[name]

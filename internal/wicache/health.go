@@ -93,7 +93,7 @@ func (f *FleetStore) healthLocked(st *apState, now time.Time) HealthReport {
 	// Window reference: the latest point at or before now-window,
 	// falling back to the oldest retained point.
 	ref := st.points[0]
-	cut := now.Add(-f.cfg.HealthWindow)
+	cut := now.Add(-healthWindow)
 	for _, p := range st.points {
 		if p.t.After(cut) {
 			break

@@ -60,10 +60,13 @@ type Controller struct {
 	// locations maps basic URL -> holder AP names, most recent reporter
 	// first: the serve path redirects to the front (the old last-wins
 	// behaviour), while a dispatching purge relay targets the whole set.
-	// apAddrs maps AP name -> fill endpoint.
+	// apAddrs maps AP name -> fill endpoint; apOrder lists the names in
+	// first-registration order, the order every purge relay, dispatcher
+	// registration and fill fallback walks them in.
 	locations map[string][]string
 	apAddrs   map[string]transport.Addr
 	apServe   map[string]transport.Addr
+	apOrder   []string
 	listener  transport.Listener
 	// ProcessingDelay models controller handling per request.
 	ProcessingDelay time.Duration
@@ -100,6 +103,9 @@ func NewController(env vclock.Env, host transport.Host) *Controller {
 // RegisterAP declares an AP's fill endpoint and client-facing serve
 // endpoint.
 func (c *Controller) RegisterAP(name string, fillAddr, serveAddr transport.Addr) {
+	if _, ok := c.apAddrs[name]; !ok {
+		c.apOrder = append(c.apOrder, name)
+	}
 	c.apAddrs[name] = fillAddr
 	c.apServe[name] = serveAddr
 	if c.dispatch != nil {
@@ -122,8 +128,8 @@ func (c *Controller) RegisterAP(name string, fillAddr, serveAddr transport.Addr)
 // the virtual clock. Returns the dispatcher for stats.
 func (c *Controller) EnableDispatch(cfg coherence.DispatchConfig) *coherence.Dispatcher {
 	c.dispatch = coherence.NewDispatcher(c.env, c.client, cfg)
-	for _, addr := range c.apAddrs {
-		c.dispatch.Register(coherence.Subscription{Addr: addr, Path: coherence.DefaultPurgePath, Batch: true})
+	for _, name := range c.apOrder {
+		c.dispatch.Register(coherence.Subscription{Addr: c.apAddrs[name], Path: coherence.DefaultPurgePath, Batch: true})
 	}
 	return c.dispatch
 }
@@ -290,8 +296,8 @@ func (c *Controller) handlePurge(req *httplite.Request) *httplite.Response {
 			continue
 		}
 		body, _ := json.Marshal(msg)
-		for name, addr := range c.apAddrs {
-			name, addr := name, addr
+		for _, name := range c.apOrder {
+			addr := c.apAddrs[name]
 			c.PurgeRelays++
 			c.relaysC.Inc()
 			c.env.Go("wicache.purge-relay", func() {
@@ -304,10 +310,13 @@ func (c *Controller) handlePurge(req *httplite.Request) *httplite.Response {
 	return httplite.NewResponse(200, nil)
 }
 
-// Stop closes the controller listener.
+// Stop closes the controller listener and halts the relay dispatcher.
 func (c *Controller) Stop() {
 	if c.listener != nil {
 		c.listener.Close()
+	}
+	if c.dispatch != nil {
+		c.dispatch.Stop()
 	}
 }
 
@@ -350,13 +359,14 @@ func (c *Controller) handleLocate(req *httplite.Request) *httplite.Response {
 	return httplite.NewResponse(204, nil)
 }
 
-// fillTarget picks the AP that should cache a missed object.
+// fillTarget picks the AP that should cache a missed object: the
+// client's home AP, else the first registered one.
 func (c *Controller) fillTarget(homeAP string) (transport.Addr, bool) {
 	if addr, ok := c.apAddrs[homeAP]; ok {
 		return addr, true
 	}
-	for _, addr := range c.apAddrs {
-		return addr, true
+	if len(c.apOrder) > 0 {
+		return c.apAddrs[c.apOrder[0]], true
 	}
 	return transport.Addr{}, false
 }
