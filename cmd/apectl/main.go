@@ -115,7 +115,7 @@ func main() {
 
 // fetch GETs a path from a daemon's HTTP endpoint.
 func fetch(addrStr, path string) ([]byte, error) {
-	addr, err := parseAddr(addrStr)
+	addr, err := transport.ParseAddr(addrStr)
 	if err != nil {
 		return nil, fmt.Errorf("bad -addr: %w", err)
 	}
@@ -636,7 +636,7 @@ func runPurge(args []string) error {
 	if *version < 1 {
 		return fmt.Errorf("purge: -version must be >= 1")
 	}
-	hubAddr, err := parseAddr(*hub)
+	hubAddr, err := transport.ParseAddr(*hub)
 	if err != nil {
 		return fmt.Errorf("bad -hub: %w", err)
 	}
@@ -650,7 +650,7 @@ func runPurge(args []string) error {
 }
 
 func runStatus(apAddr string, raw bool) error {
-	addr, err := parseAddr(apAddr)
+	addr, err := transport.ParseAddr(apAddr)
 	if err != nil {
 		return fmt.Errorf("bad -ap: %w", err)
 	}
@@ -696,17 +696,4 @@ func runStatus(apAddr string, raw bool) error {
 		}
 	}
 	return nil
-}
-
-// parseAddr parses "host:port".
-func parseAddr(s string) (transport.Addr, error) {
-	i := strings.LastIndexByte(s, ':')
-	if i < 0 {
-		return transport.Addr{}, fmt.Errorf("missing port in %q", s)
-	}
-	port, err := strconv.Atoi(s[i+1:])
-	if err != nil || port < 1 || port > 65535 {
-		return transport.Addr{}, fmt.Errorf("bad port in %q", s)
-	}
-	return transport.Addr{Host: s[:i], Port: uint16(port)}, nil
 }

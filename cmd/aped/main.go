@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -61,11 +60,11 @@ func main() {
 }
 
 func run(ip string, dnsPort, httpPort uint16, upstream, edge string, cacheMB int64, policyName, cohMode, bus, fleet string, snapIntv time.Duration, node, mesh string, meshIntv time.Duration, purgeBatch bool, purgeDomains []string, decisionLog bool, decisionLogCap int) error {
-	upstreamAddr, err := parseAddr(upstream)
+	upstreamAddr, err := transport.ParseAddr(upstream)
 	if err != nil {
 		return fmt.Errorf("bad -upstream: %w", err)
 	}
-	edgeAddr, err := parseAddr(edge)
+	edgeAddr, err := transport.ParseAddr(edge)
 	if err != nil {
 		return fmt.Errorf("bad -edge: %w", err)
 	}
@@ -75,19 +74,19 @@ func run(ip string, dnsPort, httpPort uint16, upstream, edge string, cacheMB int
 	}
 	var busAddr transport.Addr
 	if bus != "" {
-		if busAddr, err = parseAddr(bus); err != nil {
+		if busAddr, err = transport.ParseAddr(bus); err != nil {
 			return fmt.Errorf("bad -bus: %w", err)
 		}
 	}
 	var fleetAddr transport.Addr
 	if fleet != "" {
-		if fleetAddr, err = parseAddr(fleet); err != nil {
+		if fleetAddr, err = transport.ParseAddr(fleet); err != nil {
 			return fmt.Errorf("bad -fleet: %w", err)
 		}
 	}
 	var meshAddr transport.Addr
 	if mesh != "" {
-		if meshAddr, err = parseAddr(mesh); err != nil {
+		if meshAddr, err = transport.ParseAddr(mesh); err != nil {
 			return fmt.Errorf("bad -mesh: %w", err)
 		}
 	}
@@ -150,16 +149,4 @@ func run(ip string, dnsPort, httpPort uint16, upstream, edge string, cacheMB int
 	<-sig
 	fmt.Println("aped: shutting down")
 	return nil
-}
-
-func parseAddr(s string) (transport.Addr, error) {
-	i := strings.LastIndexByte(s, ':')
-	if i < 0 {
-		return transport.Addr{}, fmt.Errorf("missing port in %q", s)
-	}
-	port, err := strconv.Atoi(s[i+1:])
-	if err != nil || port < 1 || port > 65535 {
-		return transport.Addr{}, fmt.Errorf("bad port in %q", s)
-	}
-	return transport.Addr{Host: s[:i], Port: uint16(port)}, nil
 }

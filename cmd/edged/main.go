@@ -90,8 +90,9 @@ func run(ip string, edgePort, originPort, fleetPort uint16, domains []string, pe
 	edge.Instrument(tel)
 	hub := coherence.NewHub(env, host, func(m coherence.Msg) { edge.Invalidate(m.URL) })
 	hub.Instrument(tel)
+	var sharded *coherence.Dispatcher
 	if dispatch.Shards > 0 {
-		hub.EnableDispatch(dispatch)
+		sharded = hub.EnableDispatch(dispatch)
 	}
 	edgeL, err := host.Listen(edgePort)
 	if err != nil {
@@ -108,8 +109,8 @@ func run(ip string, edgePort, originPort, fleetPort uint16, domains []string, pe
 		originL.Addr(), edgeL.Addr(), catalog.Len(), len(catalog.Domains()))
 	fmt.Printf("edged: coherence bus on %s%s (publish) and %s (subscribe)\n",
 		edgeL.Addr(), coherence.PathPublish, coherence.PathSubscribe)
-	if d := hub.Dispatcher(); d != nil {
-		cfg := d.Config()
+	if sharded != nil {
+		cfg := sharded.Config()
 		fmt.Printf("edged: sharded purge fan-out: %d shards, %d workers, flush %v, batches up to %d (stats at %s)\n",
 			cfg.Shards, coherence.DefaultWorkers, cfg.FlushInterval, cfg.MaxBatch, coherence.PathStats)
 	}

@@ -212,6 +212,37 @@ func TestInvalidateModeEvictsImmediately(t *testing.T) {
 	})
 }
 
+// A prefetch fill carries the edge's version like a delegation fill: once
+// a purge has raised the store's high-water mark for a URL, a hinted
+// prefetch of the new version must still be admitted.
+func TestPrefetchAfterPurgeAdmitsNewVersion(t *testing.T) {
+	runCoh(t, coherence.ModeInvalidate, func(fx *cohFixture) {
+		trigger := &objstore.Object{URL: "http://api.t.example/trigger", App: "t", Size: 1 << 10,
+			TTL: 30 * time.Minute, Priority: 2, OriginDelay: 10 * time.Millisecond}
+		fx.catalog.Add(trigger)
+		if _, ok := fx.catalog.Mutate(fx.obj.URL); !ok {
+			t.Fatal("Mutate missed object")
+		}
+		if msg := mutateAndPublish(t, fx, false); msg.Version != 2 {
+			t.Fatalf("purge version = %d, want 2", msg.Version)
+		}
+		fx.sim.Sleep(25 * time.Millisecond)
+
+		c := httplite.NewClient(fx.net.Node("client"))
+		req := httplite.NewRequest("POST", "ap", "/delegate")
+		req.Body = []byte(trigger.URL)
+		req.Set("X-Ape-App", "t")
+		req.Set("X-Ape-Prefetch", fx.obj.URL+";ttl=30;priority=2")
+		if resp, err := c.Do(fx.ap.HTTPAddr(), req); err != nil || resp.Status != 200 {
+			t.Fatalf("delegate: %v", err)
+		}
+		fx.sim.Sleep(time.Second)
+		if e, ok := fx.ap.Store().Get(fx.obj.URL); !ok || e.Version != 2 {
+			t.Errorf("prefetched entry = %+v, %v; want resident at version 2", e, ok)
+		}
+	})
+}
+
 func TestGonePurgeAnswers410UntilWindowExpires(t *testing.T) {
 	runCoh(t, coherence.ModeInvalidate, func(fx *cohFixture) {
 		cohDelegate(t, fx)

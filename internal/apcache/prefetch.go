@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"apecache/internal/coherence"
 	"apecache/internal/dnswire"
 	"apecache/internal/httplite"
 	"apecache/internal/objstore"
@@ -100,12 +101,14 @@ func (ap *AP) schedulePrefetch(app string, specs []prefetchSpec) {
 				return
 			}
 			fetchLatency := ap.cfg.Env.Now().Sub(start)
+			version, _ := coherence.ParseETag(resp.Get("ETag"))
 			obj := &objstore.Object{
 				URL:      spec.url,
 				App:      app,
 				Size:     len(resp.Body),
 				TTL:      spec.ttl,
 				Priority: spec.priority,
+				Version:  version,
 			}
 			ap.account(OpPACMRun, ap.store.Len())
 			ap.account(OpDelegation, len(resp.Body))

@@ -162,12 +162,3 @@ func (s *Store) NegativeCached(url string) bool {
 	until, ok := s.negative[url]
 	return ok && s.clock.Now().Before(until)
 }
-
-// PurgedVersion returns the purge high-water mark for url, if any.
-func (s *Store) PurgedVersion(url string) (int64, bool) {
-	url = dnswire.BasicURL(url)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.purged[url]
-	return v, ok
-}

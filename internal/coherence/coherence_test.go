@@ -204,14 +204,12 @@ func TestHubResubscribeReplacesEndpoint(t *testing.T) {
 	if got := len(hub.Subscribers()); got != 2 {
 		t.Fatalf("subscribers = %d, want 2 (one per endpoint)", got)
 	}
-	hub.mu.Lock()
 	var ap1Paths []string
-	for _, s := range hub.subs {
+	for _, s := range hub.dispatch.Subscribers() {
 		if s.Addr == apAddr {
 			ap1Paths = append(ap1Paths, s.Path)
 		}
 	}
-	hub.mu.Unlock()
 	if len(ap1Paths) != 1 || ap1Paths[0] != "/purge-v2" {
 		t.Fatalf("ap1 registrations = %v, want exactly [/purge-v2]", ap1Paths)
 	}

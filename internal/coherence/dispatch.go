@@ -10,7 +10,7 @@ import (
 	"apecache/internal/vclock"
 )
 
-// DispatchConfig tunes the sharded, batched fan-out dispatcher.
+// DispatchConfig tunes the dispatcher's sharded, batched delivery.
 type DispatchConfig struct {
 	// Shards is the consistent-hash shard count for domain interest
 	// (default 8).
@@ -42,9 +42,9 @@ const (
 	// loss on the bus.
 	DefaultQueueLen = 1024
 	// DefaultMaxFailures is the consecutive delivery-failure count after
-	// which a subscriber is evicted, by the dispatcher and by the hub's
-	// legacy fan-out alike (a restarted daemon re-registers through the
-	// idempotent subscribe path).
+	// which a subscriber is evicted, under either delivery discipline (a
+	// restarted daemon re-registers through the idempotent subscribe
+	// path).
 	DefaultMaxFailures = 8
 )
 
@@ -80,33 +80,38 @@ type DispatchStats struct {
 
 // dispatchSub is one registered subscriber and its bounded queue.
 type dispatchSub struct {
-	key    string // sub.Addr.String(), fixed for the registration's life
-	sub    Subscription
-	shards map[int]struct{} // nil: interested in every shard
+	key    string           // sub.Addr.String(), fixed for the registration's life
+	shards map[int]struct{} // nil: interested in every shard; guarded by Dispatcher.mu
 	worker int
 
 	mu       sync.Mutex
+	sub      Subscription // written under both locks: either one reads it
 	pending  []Msg
 	failures int
 }
 
-// Dispatcher replaces goroutine-per-delivery fan-out with per-subscriber
-// bounded queues drained by a fixed worker pool. Publications enqueue in
-// O(subscribers-in-shard); each worker wakes once per FlushInterval and
-// flushes its subscribers' queues, coalescing queued purges into MsgBatch
-// wire messages for batch-capable endpoints (one single-Msg POST per
-// purge for legacy ones). Subscribers register domain interest; the
-// consistent-hash shard map confines each purge to the subscribers whose
-// domains share its shard.
+// Dispatcher is the purge plane's one subscriber registry: it registers
+// downstream endpoints, delivers purges to them and evicts the ones that
+// keep failing. It has two delivery disciplines. A new dispatcher relays
+// immediately: every purge reaches every subscriber (one shard), each
+// delivery a single-Msg POST in its own background task, so publication
+// latency does not grow with fleet size and one dead subscriber does not
+// stall the rest. Start switches it to sharded, batched delivery:
+// per-subscriber bounded queues drained by a fixed worker pool once per
+// FlushInterval, queued purges coalesced into MsgBatch wire messages for
+// batch-capable endpoints (one single-Msg POST per purge for legacy
+// ones), and a consistent-hash shard map confining each purge to the
+// subscribers whose declared domains share its shard. Delivery is
+// best-effort either way: a lost purge degrades to TTL expiry.
 type Dispatcher struct {
 	env    vclock.Env
 	client *httplite.Client
-	cfg    DispatchConfig
-	shards *ShardMap
 
 	mu      sync.Mutex
+	cfg     DispatchConfig // zero until Start
+	shards  *ShardMap
 	subs    map[string]*dispatchSub // keyed by Addr.String()
-	order   []*dispatchSub          // registration order: deterministic flush order
+	order   []*dispatchSub          // registration order: deterministic delivery order
 	nextW   int
 	stopped bool
 
@@ -116,25 +121,51 @@ type Dispatcher struct {
 	evicted   atomic.Int64
 }
 
-// NewDispatcher builds a dispatcher and starts its worker pool. Call
-// from a sim task under the virtual clock (workers run on env.Go).
-func NewDispatcher(env vclock.Env, client *httplite.Client, cfg DispatchConfig) *Dispatcher {
-	d := &Dispatcher{
+// NewDispatcher builds an immediate-relay dispatcher; it starts no
+// workers until Start.
+func NewDispatcher(env vclock.Env, client *httplite.Client) *Dispatcher {
+	return &Dispatcher{
 		env:    env,
 		client: client,
-		cfg:    cfg.withDefaults(),
+		shards: NewShardMap(1),
 		subs:   make(map[string]*dispatchSub),
 	}
-	d.shards = NewShardMap(d.cfg.Shards)
-	for w := 0; w < DefaultWorkers; w++ {
-		w := w
-		env.Go("coherence.dispatch", func() { d.runWorker(w) })
-	}
-	return d
 }
 
-// Config returns the dispatcher's effective (default-filled) config.
-func (d *Dispatcher) Config() DispatchConfig { return d.cfg }
+// Start switches the dispatcher to sharded, batched delivery: it fills
+// in cfg's defaults, rebuilds the shard map (re-deriving the shard sets
+// of subscribers registered so far) and starts the worker pool. Call it
+// once, before serving traffic, from a sim task when under the virtual
+// clock (workers run on env.Go).
+func (d *Dispatcher) Start(cfg DispatchConfig) {
+	d.mu.Lock()
+	d.cfg = cfg.withDefaults()
+	d.shards = NewShardMap(d.cfg.Shards)
+	for _, s := range d.order {
+		s.shards = d.shardSet(s.sub.Domains)
+	}
+	d.mu.Unlock()
+	for w := 0; w < DefaultWorkers; w++ {
+		w := w
+		d.env.Go("coherence.dispatch", func() { d.runWorker(w) })
+	}
+}
+
+// Sharded reports whether Start has switched the dispatcher to queued,
+// sharded delivery.
+func (d *Dispatcher) Sharded() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.cfg.Shards > 0
+}
+
+// Config returns the effective (default-filled) config Start ran with,
+// zero before Start.
+func (d *Dispatcher) Config() DispatchConfig {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.cfg
+}
 
 // Stop halts the worker pool after the current tick.
 func (d *Dispatcher) Stop() {
@@ -143,19 +174,26 @@ func (d *Dispatcher) Stop() {
 	d.mu.Unlock()
 }
 
+// shardSet maps declared domains to their shards; nil (every shard) for
+// no declared interest. Callers hold d.mu.
+func (d *Dispatcher) shardSet(domains []string) map[int]struct{} {
+	if len(domains) == 0 {
+		return nil
+	}
+	shards := make(map[int]struct{}, len(domains))
+	for _, dom := range domains {
+		shards[d.shards.Shard(dom)] = struct{}{}
+	}
+	return shards
+}
+
 // Register adds (or, per the bus contract, idempotently replaces) a
 // subscriber. Round-robin worker assignment keeps the pool balanced.
 func (d *Dispatcher) Register(sub Subscription) {
-	var shards map[int]struct{}
-	if len(sub.Domains) > 0 {
-		shards = make(map[int]struct{}, len(sub.Domains))
-		for _, dom := range sub.Domains {
-			shards[d.shards.Shard(dom)] = struct{}{}
-		}
-	}
 	key := sub.Addr.String()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	shards := d.shardSet(sub.Domains)
 	if s, ok := d.subs[key]; ok {
 		// A restarted daemon re-subscribes, possibly with a new path or
 		// interest set: replace in place, forgive past failures, keep the
@@ -185,54 +223,54 @@ func (d *Dispatcher) Subscribers() []Subscription {
 	return out
 }
 
-// Publish routes one purge by its URL's domain shard and enqueues it for
+// Publish routes one purge by its URL's domain shard and delivers it to
 // every subscriber attached to that shard (plus subscribers with no
 // declared interest, which receive everything). Returns the number of
-// queues reached.
+// subscribers reached.
 func (d *Dispatcher) Publish(msg Msg) int {
-	shard := d.shards.ShardURL(msg.URL)
 	d.mu.Lock()
+	shard := d.shards.ShardURL(msg.URL)
 	targets := make([]*dispatchSub, 0, len(d.order))
 	for _, s := range d.order {
-		if s.shards == nil {
-			targets = append(targets, s)
-			continue
-		}
-		if _, ok := s.shards[shard]; ok {
+		if _, in := s.shards[shard]; in || s.shards == nil {
 			targets = append(targets, s)
 		}
 	}
 	d.mu.Unlock()
-	for _, s := range targets {
-		d.enqueue(s, msg)
-	}
+	d.deliver(targets, msg)
 	return len(targets)
 }
 
-// Send enqueues one purge for the subscriber registered at addrKey
+// Send delivers one purge to the subscriber registered at addrKey
 // (Addr.String()), bypassing shard routing — the hierarchical relay uses
 // it for location-targeted delivery. Returns false for unknown keys.
 func (d *Dispatcher) Send(addrKey string, msg Msg) bool {
 	d.mu.Lock()
 	s, ok := d.subs[addrKey]
 	d.mu.Unlock()
-	if !ok {
-		return false
+	if ok {
+		d.deliver([]*dispatchSub{s}, msg)
 	}
-	d.enqueue(s, msg)
-	return true
+	return ok
 }
 
-// Broadcast enqueues one purge for every subscriber regardless of shard
-// interest. Returns the number of queues reached.
-func (d *Dispatcher) Broadcast(msg Msg) int {
-	d.mu.Lock()
-	targets := append([]*dispatchSub(nil), d.order...)
-	d.mu.Unlock()
+// deliver is the one delivery step: before Start each target gets its
+// own relay task posting the single-Msg body, after Start the purge
+// waits in the target's queue for the next flush tick.
+func (d *Dispatcher) deliver(targets []*dispatchSub, msg Msg) {
+	if !d.Sharded() {
+		body, _ := json.Marshal(msg)
+		for _, s := range targets {
+			s.mu.Lock()
+			sub := s.sub
+			s.mu.Unlock()
+			d.env.Go("coherence.relay", func() { d.post(s, sub, body, 1) })
+		}
+		return
+	}
 	for _, s := range targets {
 		d.enqueue(s, msg)
 	}
-	return len(targets)
 }
 
 func (d *Dispatcher) enqueue(s *dispatchSub, msg Msg) {
@@ -250,10 +288,11 @@ func (d *Dispatcher) enqueue(s *dispatchSub, msg Msg) {
 func (d *Dispatcher) Stats() DispatchStats {
 	d.mu.Lock()
 	subs := append([]*dispatchSub(nil), d.order...)
+	shards := d.cfg.Shards
 	d.mu.Unlock()
 	st := DispatchStats{
 		Subscribers: len(subs),
-		Shards:      d.cfg.Shards,
+		Shards:      shards,
 		Workers:     DefaultWorkers,
 		Batches:     d.batches.Load(),
 		Delivered:   d.delivered.Load(),
@@ -268,24 +307,16 @@ func (d *Dispatcher) Stats() DispatchStats {
 	return st
 }
 
-func (d *Dispatcher) isStopped() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stopped
-}
-
 // runWorker is one drain loop: wake per tick, flush every queue pinned
 // to this worker. It exits when the dispatcher stops or when Sleep stops
 // consuming time (the simulation shut down).
 func (d *Dispatcher) runWorker(w int) {
-	interval := d.cfg.FlushInterval
+	cfg := d.Config()
 	for {
 		before := d.env.Now()
-		d.env.Sleep(interval)
-		if d.isStopped() || d.env.Now().Sub(before) < interval {
-			return
-		}
+		d.env.Sleep(cfg.FlushInterval)
 		d.mu.Lock()
+		stopped := d.stopped
 		mine := make([]*dispatchSub, 0, len(d.order))
 		for _, s := range d.order {
 			if s.worker == w {
@@ -293,34 +324,30 @@ func (d *Dispatcher) runWorker(w int) {
 			}
 		}
 		d.mu.Unlock()
+		if stopped || d.env.Now().Sub(before) < cfg.FlushInterval {
+			return
+		}
 		for _, s := range mine {
-			d.flush(s)
+			d.flush(s, cfg.MaxBatch)
 		}
 	}
 }
 
 // flush drains one subscriber's queue: batch-capable endpoints get the
 // whole queue as MsgBatch POSTs of up to MaxBatch messages, legacy
-// endpoints one single-Msg POST per purge. Consecutive failed POSTs
-// evict the registration once they reach DefaultMaxFailures.
-func (d *Dispatcher) flush(s *dispatchSub) {
+// endpoints one single-Msg POST per purge. An eviction drops the rest.
+func (d *Dispatcher) flush(s *dispatchSub, maxBatch int) {
 	s.mu.Lock()
 	pending := s.pending
 	s.pending = nil
 	sub := s.sub
 	s.mu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
 	step := 1
-	if sub.Batch && d.cfg.MaxBatch > 1 {
-		step = d.cfg.MaxBatch
+	if sub.Batch && maxBatch > 1 {
+		step = maxBatch
 	}
 	for off := 0; off < len(pending); off += step {
-		end := off + step
-		if end > len(pending) {
-			end = len(pending)
-		}
+		end := min(off+step, len(pending))
 		chunk := pending[off:end]
 		var body []byte
 		if sub.Batch {
@@ -328,27 +355,37 @@ func (d *Dispatcher) flush(s *dispatchSub) {
 		} else {
 			body, _ = json.Marshal(chunk[0])
 		}
-		req := httplite.NewRequest("POST", sub.Addr.Host, sub.Path)
-		req.Body = body
-		resp, err := d.client.Do(sub.Addr, req)
-		d.batches.Add(1)
-		if err == nil && resp.Status == 200 {
-			d.delivered.Add(int64(len(chunk)))
-			s.mu.Lock()
-			s.failures = 0
-			s.mu.Unlock()
-			continue
-		}
-		s.mu.Lock()
-		s.failures++
-		failures := s.failures
-		s.mu.Unlock()
-		if failures >= DefaultMaxFailures {
-			d.evict(s)
+		if !d.post(s, sub, body, len(chunk)) {
 			d.dropped.Add(int64(len(pending) - end))
 			return
 		}
 	}
+}
+
+// post sends one wire body carrying n purges to sub, counts it, and
+// tracks consecutive failures: once they reach DefaultMaxFailures the
+// registration is evicted and post returns false.
+func (d *Dispatcher) post(s *dispatchSub, sub Subscription, body []byte, n int) bool {
+	req := httplite.NewRequest("POST", sub.Addr.Host, sub.Path)
+	req.Body = body
+	resp, err := d.client.Do(sub.Addr, req)
+	d.batches.Add(1)
+	ok := err == nil && resp.Status == 200
+	if ok {
+		d.delivered.Add(int64(n))
+	}
+	s.mu.Lock()
+	if ok {
+		s.failures = 0
+	} else {
+		s.failures++
+	}
+	dead := s.failures >= DefaultMaxFailures
+	s.mu.Unlock()
+	if dead {
+		d.evict(s)
+	}
+	return !dead
 }
 
 // evict removes a dead subscriber; its queued purges are dropped (they

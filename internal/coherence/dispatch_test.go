@@ -245,6 +245,61 @@ func TestDispatchEvictsDeadSubscriber(t *testing.T) {
 	}
 }
 
+// TestDispatchStartReshardsEarlySubscribers: before Start a dispatcher
+// has one shard, so a subscriber that declared domains still receives
+// every purge, each as its own single-Msg relay; Start re-derives the
+// shard sets of the subscribers registered before it.
+func TestDispatchStartReshardsEarlySubscribers(t *testing.T) {
+	sim := vclock.NewSim(time.Time{})
+	sim.Run("main", func() {
+		net := simnet.New(sim, 3)
+		net.SetLink("edge", "apa", simnet.Path{Latency: time.Millisecond})
+		d := NewDispatcher(sim, httplite.NewClient(net.Node("edge")))
+		sink := startSink(t, sim, net, "apa")
+		d.Register(Subscription{Addr: transport.Addr{Host: "apa", Port: 8080}, Path: DefaultPurgePath,
+			Domains: []string{"a.example"}, Batch: true})
+		sm := NewShardMap(8)
+		other := "b.example"
+		for i := 0; sm.Shard(other) == sm.Shard("a.example"); i++ {
+			other = fmt.Sprintf("b%d.example", i)
+		}
+
+		for v, dom := range []string{other, "a.example"} {
+			if n := d.Publish(Msg{URL: "http://" + dom + "/x", Version: int64(v + 1)}); n != 1 {
+				t.Errorf("before Start: %s purge reached %d subscribers, want 1", dom, n)
+			}
+		}
+		sim.Sleep(100 * time.Millisecond)
+		if _, reqs := sink.snapshot(); reqs != 2 {
+			t.Errorf("before Start: %d wire requests, want 2 (one relay per purge)", reqs)
+		}
+
+		d.Start(DispatchConfig{Shards: 8, FlushInterval: 2 * time.Millisecond})
+		defer d.Stop()
+		if n := d.Publish(Msg{URL: "http://" + other + "/y", Version: 3}); n != 0 {
+			t.Errorf("after Start: foreign-shard purge reached %d subscribers, want 0", n)
+		}
+		if n := d.Publish(Msg{URL: "http://a.example/y", Version: 4}); n != 1 {
+			t.Errorf("after Start: own-shard purge reached %d subscribers, want 1", n)
+		}
+		sim.Sleep(100 * time.Millisecond)
+		msgs, _ := sink.snapshot()
+		want := []string{"http://" + other + "/x@1", "http://a.example/x@2", "http://a.example/y@4"}
+		sort.Strings(want)
+		if got := sortedURLs(msgs); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("delivered %v, want %v", got, want)
+		}
+		if st := d.Stats(); st.Shards != 8 || st.Delivered != 3 {
+			t.Errorf("stats = %+v, want 8 shards and 3 delivered", st)
+		}
+	})
+	sim.Shutdown()
+	sim.Wait()
+	if err := sim.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLegacyFanoutEvictsDeadSubscriber covers the same eviction contract
 // on the per-delivery fan-out path.
 func TestLegacyFanoutEvictsDeadSubscriber(t *testing.T) {

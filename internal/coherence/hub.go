@@ -17,22 +17,17 @@ import (
 // httplite.Handler for the PathSubscribe, PathPublish and PathStats
 // routes, so it shares the edge server's port via Wrap.
 //
-// Two fan-out engines exist. The default relays each publication to all
-// subscribers, one background task per delivery — simple, and fine for
-// a handful of downstreams. EnableDispatch switches the hub to the
-// sharded, batched Dispatcher so publication cost stays near-independent
-// of fleet size; the wire stays compatible either way (subscribers that
-// did not declare Batch keep receiving single-Msg bodies).
+// The hub's Dispatcher is its subscriber registry and its fan-out. By
+// default it relays each publication to all subscribers, one background
+// task per delivery — simple, and fine for a handful of downstreams.
+// EnableDispatch switches it to sharded, batched delivery so publication
+// cost stays near-independent of fleet size; the wire stays compatible
+// either way (subscribers that did not declare Batch keep receiving
+// single-Msg bodies).
 type Hub struct {
-	env    vclock.Env
-	client *httplite.Client
 	// onPurge invalidates the local (edge) copy before the fan-out, so a
 	// revalidating AP never re-fetches the stale bytes it just purged.
-	onPurge func(Msg)
-
-	mu       sync.Mutex
-	subs     []Subscription
-	failures map[string]int // legacy path: consecutive failures by Addr.String()
+	onPurge  func(Msg)
 	dispatch *Dispatcher
 
 	// Published counts accepted purge publications, Relayed the
@@ -41,8 +36,8 @@ type Hub struct {
 	// stats route.
 	Published atomic.Int64
 	Relayed   atomic.Int64
-	evicted   atomic.Int64
 
+	mu        sync.Mutex // guards the telemetry handles below
 	tel       *telemetry.Telemetry
 	published *telemetry.Counter
 	relayed   *telemetry.Counter
@@ -69,35 +64,17 @@ func (h *Hub) Instrument(tel *telemetry.Telemetry) {
 // nil when there is no colocated cache to invalidate.
 func NewHub(env vclock.Env, host transport.Host, onPurge func(Msg)) *Hub {
 	return &Hub{
-		env:      env,
-		client:   httplite.NewClient(host),
 		onPurge:  onPurge,
-		failures: make(map[string]int),
+		dispatch: NewDispatcher(env, httplite.NewClient(host)),
 	}
 }
 
-// EnableDispatch switches the hub's fan-out to a sharded, batched
-// dispatcher (starting its worker pool on the hub's env) and returns it.
-// Call before serving traffic, from a sim task when under the virtual
-// clock; already-registered subscribers migrate over.
+// EnableDispatch switches the hub's fan-out to sharded, batched delivery
+// (Dispatcher.Start) and returns the dispatcher. Call before serving
+// traffic, from a sim task when under the virtual clock;
+// already-registered subscribers carry over.
 func (h *Hub) EnableDispatch(cfg DispatchConfig) *Dispatcher {
-	d := NewDispatcher(h.env, h.client, cfg)
-	h.mu.Lock()
-	migrate := h.subs
-	h.subs = nil
-	h.dispatch = d
-	h.mu.Unlock()
-	for _, sub := range migrate {
-		d.Register(sub)
-	}
-	return d
-}
-
-// Dispatcher returns the attached dispatcher, nil when the hub runs the
-// legacy per-delivery fan-out.
-func (h *Hub) Dispatcher() *Dispatcher {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.dispatch.Start(cfg)
 	return h.dispatch
 }
 
@@ -105,16 +82,7 @@ var _ httplite.Handler = (*Hub)(nil)
 
 // Subscribers returns a snapshot of the registered subscriber endpoints.
 func (h *Hub) Subscribers() []transport.Addr {
-	h.mu.Lock()
-	d := h.dispatch
-	subs := h.subs
-	if d == nil {
-		subs = append([]Subscription(nil), subs...)
-	}
-	h.mu.Unlock()
-	if d != nil {
-		subs = d.Subscribers()
-	}
+	subs := h.dispatch.Subscribers()
 	out := make([]transport.Addr, 0, len(subs))
 	for _, s := range subs {
 		out = append(out, s.Addr)
@@ -131,18 +99,17 @@ type HubStats struct {
 	Dispatch    *DispatchStats `json:"dispatch,omitempty"`
 }
 
-// Stats snapshots the hub counters (and the dispatcher's, when one is
-// enabled).
+// Stats snapshots the hub counters (and the dispatcher's, once sharded
+// delivery is enabled).
 func (h *Hub) Stats() HubStats {
+	ds := h.dispatch.Stats()
 	st := HubStats{
 		Published:   h.Published.Load(),
 		Relayed:     h.Relayed.Load(),
-		Subscribers: len(h.Subscribers()),
-		Evicted:     h.evicted.Load(),
+		Subscribers: ds.Subscribers,
+		Evicted:     ds.Evicted,
 	}
-	if d := h.Dispatcher(); d != nil {
-		ds := d.Stats()
-		st.Evicted += ds.Evicted
+	if ds.Shards > 0 {
 		st.Dispatch = &ds
 	}
 	return st
@@ -181,6 +148,10 @@ func (h *Hub) handleStats(req *httplite.Request) *httplite.Response {
 	return resp
 }
 
+// handleSubscribe registers a downstream endpoint. Re-subscribing is
+// idempotent: a restarted daemon (possibly announcing a new purge path)
+// replaces its old registration instead of adding a duplicate that would
+// double every purge delivery.
 func (h *Hub) handleSubscribe(req *httplite.Request) *httplite.Response {
 	var sub Subscription
 	if err := json.Unmarshal(req.Body, &sub); err != nil || sub.Addr.IsZero() {
@@ -189,25 +160,7 @@ func (h *Hub) handleSubscribe(req *httplite.Request) *httplite.Response {
 	if sub.Path == "" {
 		sub.Path = DefaultPurgePath
 	}
-	h.mu.Lock()
-	if d := h.dispatch; d != nil {
-		h.mu.Unlock()
-		d.Register(sub)
-		return httplite.NewResponse(200, nil)
-	}
-	defer h.mu.Unlock()
-	delete(h.failures, sub.Addr.String())
-	for i, s := range h.subs {
-		if s.Addr == sub.Addr {
-			// Idempotent re-subscribe: one endpoint holds exactly one
-			// registration. A restarted daemon (possibly announcing a new
-			// purge path) replaces its old entry instead of appending a
-			// duplicate that would double every purge delivery.
-			h.subs[i] = sub
-			return httplite.NewResponse(200, nil)
-		}
-	}
-	h.subs = append(h.subs, sub)
+	h.dispatch.Register(sub)
 	return httplite.NewResponse(200, nil)
 }
 
@@ -222,68 +175,14 @@ func (h *Hub) handlePublish(req *httplite.Request) *httplite.Response {
 	if h.onPurge != nil {
 		h.onPurge(msg)
 	}
-	if d := h.Dispatcher(); d != nil {
-		n := d.Publish(msg)
-		h.Published.Add(1)
-		h.Relayed.Add(int64(n))
-		h.mu.Lock()
-		tel := h.tel
-		h.mu.Unlock()
-		h.published.Inc()
-		h.relayed.Add(int64(n))
-		tel.Emit("purge", "url", msg.URL, "version", msg.Version, "gone", msg.Gone, "subscribers", n)
-		return httplite.NewResponse(200, nil)
-	}
-	h.mu.Lock()
+	n := h.dispatch.Publish(msg)
 	h.Published.Add(1)
-	subs := make([]Subscription, len(h.subs))
-	copy(subs, h.subs)
-	h.Relayed.Add(int64(len(subs)))
-	tel := h.tel
-	h.published.Inc()
-	h.relayed.Add(int64(len(subs)))
-	h.mu.Unlock()
-	tel.Emit("purge", "url", msg.URL, "version", msg.Version, "gone", msg.Gone, "subscribers", len(subs))
-
-	body, _ := json.Marshal(msg)
-	for _, sub := range subs {
-		sub := sub
-		// Relay in background tasks: publication latency must not grow
-		// with fleet size, and one dead subscriber must not stall the
-		// rest. Delivery is best-effort, like the edge's TTLs it rides
-		// over — a lost purge degrades to TTL-only behaviour.
-		h.env.Go("coherence.relay", func() {
-			preq := httplite.NewRequest("POST", sub.Addr.Host, sub.Path)
-			preq.Body = body
-			resp, derr := h.client.Do(sub.Addr, preq)
-			h.deliveryResult(sub.Addr, derr == nil && resp.Status == 200)
-		})
-	}
-	return httplite.NewResponse(200, nil)
-}
-
-// deliveryResult tracks consecutive legacy-path delivery failures and
-// evicts an endpoint once they reach DefaultMaxFailures: a dead AP must
-// not be dialed on every purge forever, and its restart re-subscribes
-// anyway.
-func (h *Hub) deliveryResult(addr transport.Addr, ok bool) {
-	key := addr.String()
+	h.Relayed.Add(int64(n))
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if ok {
-		delete(h.failures, key)
-		return
-	}
-	h.failures[key]++
-	if h.failures[key] < DefaultMaxFailures {
-		return
-	}
-	delete(h.failures, key)
-	for i, s := range h.subs {
-		if s.Addr == addr {
-			h.subs = append(h.subs[:i], h.subs[i+1:]...)
-			h.evicted.Add(1)
-			return
-		}
-	}
+	tel, published, relayed := h.tel, h.published, h.relayed
+	h.mu.Unlock()
+	published.Inc()
+	relayed.Add(int64(n))
+	tel.Emit("purge", "url", msg.URL, "version", msg.Version, "gone", msg.Gone, "subscribers", n)
+	return httplite.NewResponse(200, nil)
 }

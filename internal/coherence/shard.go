@@ -54,9 +54,6 @@ func NewShardMap(n int) *ShardMap {
 	return m
 }
 
-// Shards returns the shard count.
-func (m *ShardMap) Shards() int { return m.shards }
-
 // Shard maps a domain to its shard: the first ring point clockwise from
 // the domain's hash.
 func (m *ShardMap) Shard(domain string) int {

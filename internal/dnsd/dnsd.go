@@ -8,7 +8,6 @@ package dnsd
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -274,9 +273,6 @@ func findOPT(msg *dnswire.Message) (dnswire.RR, bool) {
 	}
 	return dnswire.RR{}, false
 }
-
-// NewID draws a random transaction ID.
-func NewID(rng *rand.Rand) uint16 { return uint16(rng.Intn(1 << 16)) }
 
 // AddrBook maps hostnames to the synthetic IPv4 addresses handed out in
 // DNS answers, and back to transport hosts for dialing. Under realnet the

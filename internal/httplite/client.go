@@ -61,18 +61,6 @@ func (c *Client) Get(addr transport.Addr, host, path string) (*Response, error) 
 	return c.Do(addr, NewRequest("GET", host, path))
 }
 
-// CloseIdle drops all pooled connections.
-func (c *Client) CloseIdle() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, conns := range c.idle {
-		for _, conn := range conns {
-			conn.stream.Close()
-		}
-	}
-	c.idle = make(map[transport.Addr][]*clientConn)
-}
-
 func (c *Client) dial(addr transport.Addr) (*clientConn, error) {
 	s, err := c.host.Dial(addr)
 	if err != nil {

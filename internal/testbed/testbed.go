@@ -359,18 +359,6 @@ func (tb *Testbed) MutateObject(url string) (int64, error) {
 	return v, err
 }
 
-// RemoveObject deletes url's object at the origin and publishes a gone
-// purge, driving downstream negative caching.
-func (tb *Testbed) RemoveObject(url string) (int64, error) {
-	v, ok := tb.cfg.Suite.Catalog.Remove(url)
-	if !ok {
-		return 0, fmt.Errorf("testbed: remove: unknown object %s", url)
-	}
-	v++
-	err := coherence.Publish(tb.pub, transport.Addr{Host: NodeEdge, Port: 80}, coherence.Msg{URL: url, Version: v, Gone: true})
-	return v, err
-}
-
 // Stop closes the system-under-test's listeners.
 func (tb *Testbed) Stop() {
 	if tb.AP != nil {
@@ -466,22 +454,6 @@ func (tb *Testbed) RetrievalStats() *metrics.LatencyStats {
 	}
 	for _, c := range tb.edgeClients {
 		out.Merge(&c.Stats().Retrieval)
-	}
-	return out
-}
-
-// RetrievalAllStats merges retrieval samples across every fetch,
-// including delegations and edge fallbacks.
-func (tb *Testbed) RetrievalAllStats() *metrics.LatencyStats {
-	out := &metrics.LatencyStats{}
-	for _, c := range tb.apeClients {
-		out.Merge(&c.Stats().RetrievalAll)
-	}
-	for _, c := range tb.wiClients {
-		out.Merge(&c.Stats().RetrievalAll)
-	}
-	for _, c := range tb.edgeClients {
-		out.Merge(&c.Stats().RetrievalAll)
 	}
 	return out
 }

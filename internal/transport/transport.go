@@ -9,6 +9,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -21,6 +23,21 @@ type Addr struct {
 
 // String renders host:port.
 func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.Host, a.Port) }
+
+// ParseAddr is the inverse of Addr.String: it splits "host:port" at the
+// last colon (so the host may itself contain colons) and requires a port
+// in 1..65535.
+func ParseAddr(s string) (Addr, error) {
+	i := strings.LastIndexByte(s, ':')
+	if i < 0 {
+		return Addr{}, fmt.Errorf("missing port in %q", s)
+	}
+	port, err := strconv.Atoi(s[i+1:])
+	if err != nil || port < 1 || port > 65535 {
+		return Addr{}, fmt.Errorf("bad port in %q", s)
+	}
+	return Addr{Host: s[:i], Port: uint16(port)}, nil
+}
 
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Host == "" && a.Port == 0 }

@@ -300,3 +300,65 @@ func TestControllerRelaysInRegistrationOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestControllerRelayEvictsDeadAP: the default (untargeted) purge relay
+// shares the dispatcher's failure rule, so an AP that fails
+// DefaultMaxFailures consecutive relays is dropped while the live AP
+// keeps receiving every purge, addressed to its fill host.
+func TestControllerRelayEvictsDeadAP(t *testing.T) {
+	sim := vclock.NewSim(time.Time{})
+	sim.Run("main", func() {
+		net := simnet.New(sim, 1)
+		net.SetLink("ec2", "dead", simnet.Path{Latency: time.Millisecond})
+		net.SetLink("ec2", "live", simnet.Path{Latency: time.Millisecond})
+		var (
+			mu    sync.Mutex
+			hosts []string
+		)
+		mux := httplite.NewMux()
+		mux.HandleFunc(coherence.DefaultPurgePath, func(req *httplite.Request) *httplite.Response {
+			mu.Lock()
+			hosts = append(hosts, req.Host)
+			mu.Unlock()
+			return httplite.NewResponse(200, nil)
+		})
+		l, err := net.Node("live").Listen(80)
+		if err != nil {
+			t.Errorf("live listen: %v", err)
+			return
+		}
+		srv := httplite.NewServer(sim, mux)
+		sim.Go("live.server", func() { srv.Serve(l) })
+
+		controller := NewController(sim, net.Node("ec2"))
+		controller.RegisterAP("ap-dead", transport.Addr{Host: "dead", Port: 80}, transport.Addr{Host: "dead", Port: 80})
+		controller.RegisterAP("ap-live", transport.Addr{Host: "live", Port: 80}, transport.Addr{Host: "live", Port: 80})
+		for i := 0; i < coherence.DefaultMaxFailures; i++ {
+			if got := len(controller.Dispatch().Subscribers()); got != 2 {
+				t.Fatalf("round %d: relay targets = %d, want 2 before %d failures", i, got, coherence.DefaultMaxFailures)
+			}
+			body := []byte(fmt.Sprintf(`{"url":"http://api.m.example/chunk","version":%d}`, i+1))
+			if resp := controller.handlePurge(&httplite.Request{Body: body}); resp.Status != 200 {
+				t.Errorf("purge: status %d", resp.Status)
+			}
+			sim.Sleep(50 * time.Millisecond)
+		}
+		subs := controller.Dispatch().Subscribers()
+		if len(subs) != 1 || subs[0].Addr.Host != "live" {
+			t.Errorf("relay targets after %d failures = %+v, want only the live AP", coherence.DefaultMaxFailures, subs)
+		}
+		if st := controller.Dispatch().Stats(); st.Evicted != 1 {
+			t.Errorf("evicted = %d, want 1", st.Evicted)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(hosts) != coherence.DefaultMaxFailures || hosts[0] != "live" {
+			t.Errorf("live AP got %d relays with Host %v, want %d addressed to its fill host", len(hosts), hosts, coherence.DefaultMaxFailures)
+		}
+	})
+	sim.Shutdown()
+	sim.Wait()
+	if err := sim.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

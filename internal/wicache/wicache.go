@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
@@ -57,19 +56,25 @@ type Controller struct {
 	env    vclock.Env
 	host   transport.Host
 	client *httplite.Client
+	// relay is the controller->AP purge relay; every registered AP is one
+	// of its subscribers, in first-registration order.
+	relay    *coherence.Dispatcher
+	listener transport.Listener
+	// ProcessingDelay models controller handling per request.
+	ProcessingDelay time.Duration
+
+	// mu guards everything below: the handlers run concurrently on real
+	// sockets.
+	mu sync.Mutex
 	// locations maps basic URL -> holder AP names, most recent reporter
 	// first: the serve path redirects to the front (the old last-wins
 	// behaviour), while a dispatching purge relay targets the whole set.
-	// apAddrs maps AP name -> fill endpoint; apOrder lists the names in
-	// first-registration order, the order every purge relay, dispatcher
-	// registration and fill fallback walks them in.
+	// apAddrs maps AP name -> fill endpoint; firstAP is the first AP
+	// registered, the fill fallback.
 	locations map[string][]string
 	apAddrs   map[string]transport.Addr
 	apServe   map[string]transport.Addr
-	apOrder   []string
-	listener  transport.Listener
-	// ProcessingDelay models controller handling per request.
-	ProcessingDelay time.Duration
+	firstAP   string
 	// Locates counts lookup requests (observability).
 	Locates int
 	// Purges counts bus messages handled; PurgeRelays the per-AP
@@ -83,17 +88,18 @@ type Controller struct {
 	relaysC     *telemetry.Counter
 	fillOrdersC *telemetry.Counter
 
-	fleet    *FleetStore
-	mesh     *coopmesh.Directory
-	dispatch *coherence.Dispatcher
+	fleet *FleetStore
+	mesh  *coopmesh.Directory
 }
 
 // NewController builds a controller.
 func NewController(env vclock.Env, host transport.Host) *Controller {
+	client := httplite.NewClient(host)
 	return &Controller{
 		env:       env,
 		host:      host,
-		client:    httplite.NewClient(host),
+		client:    client,
+		relay:     coherence.NewDispatcher(env, client),
 		locations: make(map[string][]string),
 		apAddrs:   make(map[string]transport.Addr),
 		apServe:   make(map[string]transport.Addr),
@@ -101,42 +107,33 @@ func NewController(env vclock.Env, host transport.Host) *Controller {
 }
 
 // RegisterAP declares an AP's fill endpoint and client-facing serve
-// endpoint.
+// endpoint, and subscribes the fill endpoint to the purge relay as a
+// batch-capable target (Wi-Cache APs parse both wire forms; batches only
+// form once EnableDispatch starts queued delivery).
 func (c *Controller) RegisterAP(name string, fillAddr, serveAddr transport.Addr) {
-	if _, ok := c.apAddrs[name]; !ok {
-		c.apOrder = append(c.apOrder, name)
+	c.mu.Lock()
+	if c.firstAP == "" {
+		c.firstAP = name
 	}
 	c.apAddrs[name] = fillAddr
 	c.apServe[name] = serveAddr
-	if c.dispatch != nil {
-		// Hierarchical fan-out: the AP becomes a batch-capable target of
-		// the controller's own dispatcher (Wi-Cache APs parse both wire
-		// forms), so controller->AP relays ride bounded queues too.
-		c.dispatch.Register(coherence.Subscription{
-			Addr:  fillAddr,
-			Path:  coherence.DefaultPurgePath,
-			Batch: true,
-		})
-	}
+	c.mu.Unlock()
+	c.relay.Register(coherence.Subscription{Addr: fillAddr, Path: coherence.DefaultPurgePath, Batch: true})
 }
 
-// EnableDispatch replaces the controller's goroutine-per-AP purge relay
-// with a sharded, batched dispatcher: relayed purges are location-
-// targeted (only APs recorded as holding the object are dialed) and
-// coalesced into MsgBatch deliveries.
-// Call before Start and before RegisterAP, from a sim task when under
-// the virtual clock. Returns the dispatcher for stats.
+// EnableDispatch switches the controller's purge relay from one task
+// per AP per purge to sharded, batched delivery, and makes it location-
+// targeted: only APs recorded as holding the object are queued, and
+// their purges coalesce into MsgBatch deliveries. Call before Start,
+// from a sim task when under the virtual clock. Returns the dispatcher
+// for stats.
 func (c *Controller) EnableDispatch(cfg coherence.DispatchConfig) *coherence.Dispatcher {
-	c.dispatch = coherence.NewDispatcher(c.env, c.client, cfg)
-	for _, name := range c.apOrder {
-		c.dispatch.Register(coherence.Subscription{Addr: c.apAddrs[name], Path: coherence.DefaultPurgePath, Batch: true})
-	}
-	return c.dispatch
+	c.relay.Start(cfg)
+	return c.relay
 }
 
-// Dispatch returns the controller's relay dispatcher, nil when the
-// legacy per-delivery relay is active.
-func (c *Controller) Dispatch() *coherence.Dispatcher { return c.dispatch }
+// Dispatch returns the controller's purge relay dispatcher.
+func (c *Controller) Dispatch() *coherence.Dispatcher { return c.relay }
 
 // Start binds the controller port.
 func (c *Controller) Start(port uint16) error {
@@ -260,52 +257,51 @@ func (c *Controller) SubscribeBusWith(hubAddr transport.Addr, domains []string) 
 // handlePurge applies bus messages (single-Msg or MsgBatch bodies): each
 // location entry is dropped (the next locate misses and triggers a fresh
 // fill) and the purge is relayed downstream so resident LRU copies are
-// evicted too. The legacy relay dials every registered AP per message;
-// with EnableDispatch the relay is location-targeted — only the APs
-// recorded as holding the object are queued — and batched per AP.
+// evicted too. By default the relay reaches every registered AP; with
+// EnableDispatch it is location-targeted — only the APs recorded as
+// holding the object are queued — and batched per AP.
 func (c *Controller) handlePurge(req *httplite.Request) *httplite.Response {
 	msgs, err := coherence.ParseMsgs(req.Body)
 	if err != nil {
 		return httplite.NewResponse(400, []byte(err.Error()))
 	}
 	for _, msg := range msgs {
-		c.Purges++
 		c.purgesC.Inc()
-		holders := c.locations[msg.URL]
+		c.mu.Lock()
+		c.Purges++
+		keys := make([]string, 0, len(c.locations[msg.URL]))
+		for _, name := range c.locations[msg.URL] {
+			if addr, ok := c.apAddrs[name]; ok {
+				keys = append(keys, addr.String())
+			}
+		}
 		delete(c.locations, msg.URL)
+		c.mu.Unlock()
 		if c.mesh != nil {
 			// Tombstone the URL in the mesh directory so lookups stop
 			// offering peers whose summaries predate the purge.
 			c.mesh.Purge(msg.URL)
 		}
-		if c.dispatch != nil {
+		var sent int
+		if c.relay.Sharded() {
 			// Targeted relay: only recorded holders get the purge, so relay
 			// cost scales with the number of copies, not the fleet size. The
 			// location table is this controller's own fill bookkeeping; a
 			// holder it missed (a lost report) is covered by the TTL
 			// backstop, the same best-effort guarantee the bus gives for a
 			// lost purge.
-			sent := 0
-			for _, holder := range holders {
-				if addr, ok := c.apAddrs[holder]; ok && c.dispatch.Send(addr.String(), msg) {
+			for _, key := range keys {
+				if c.relay.Send(key, msg) {
 					sent++
 				}
 			}
-			c.PurgeRelays += sent
-			c.relaysC.Add(int64(sent))
-			continue
+		} else {
+			sent = c.relay.Publish(msg)
 		}
-		body, _ := json.Marshal(msg)
-		for _, name := range c.apOrder {
-			addr := c.apAddrs[name]
-			c.PurgeRelays++
-			c.relaysC.Inc()
-			c.env.Go("wicache.purge-relay", func() {
-				preq := httplite.NewRequest("POST", name, coherence.DefaultPurgePath)
-				preq.Body = body
-				_, _ = c.client.Do(addr, preq)
-			})
-		}
+		c.mu.Lock()
+		c.PurgeRelays += sent
+		c.mu.Unlock()
+		c.relaysC.Add(int64(sent))
 	}
 	return httplite.NewResponse(200, nil)
 }
@@ -315,9 +311,7 @@ func (c *Controller) Stop() {
 	if c.listener != nil {
 		c.listener.Close()
 	}
-	if c.dispatch != nil {
-		c.dispatch.Stop()
-	}
+	c.relay.Stop()
 }
 
 // Addr returns the controller endpoint.
@@ -335,19 +329,25 @@ func (c *Controller) handleLocate(req *httplite.Request) *httplite.Response {
 	if err := json.Unmarshal(req.Body, &lr); err != nil {
 		return httplite.NewResponse(400, []byte("bad locate body"))
 	}
-	c.Locates++
 	c.locatesC.Inc()
 	basic := dnswire.BasicURL(lr.URL)
+	c.mu.Lock()
+	c.Locates++
+	var apName string
 	if names := c.locations[basic]; len(names) > 0 {
-		apName := names[0]
-		serve := c.apServe[apName]
+		apName = names[0]
+	}
+	serve := c.apServe[apName]
+	fill, canFill := c.fillTarget(lr.HomeAP)
+	c.mu.Unlock()
+	if apName != "" {
 		resp := httplite.NewResponse(200, []byte(serve.String()))
 		resp.Set("X-Wicache-AP", apName)
 		return resp
 	}
 	// Miss: order a background fill at the client's home AP (falling
 	// back to any registered AP) so the next nearby request hits.
-	if fill, ok := c.fillTarget(lr.HomeAP); ok {
+	if canFill {
 		c.fillOrdersC.Inc()
 		c.env.Go("wicache.fill-order", func() {
 			freq := httplite.NewRequest("POST", fill.Host, "/fill")
@@ -360,15 +360,13 @@ func (c *Controller) handleLocate(req *httplite.Request) *httplite.Response {
 }
 
 // fillTarget picks the AP that should cache a missed object: the
-// client's home AP, else the first registered one.
+// client's home AP, else the first registered one. Callers hold c.mu.
 func (c *Controller) fillTarget(homeAP string) (transport.Addr, bool) {
 	if addr, ok := c.apAddrs[homeAP]; ok {
 		return addr, true
 	}
-	if len(c.apOrder) > 0 {
-		return c.apAddrs[c.apOrder[0]], true
-	}
-	return transport.Addr{}, false
+	addr, ok := c.apAddrs[c.firstAP]
+	return addr, ok
 }
 
 // handleReport ingests AP content updates.
@@ -377,6 +375,8 @@ func (c *Controller) handleReport(req *httplite.Request) *httplite.Response {
 	if err := json.Unmarshal(req.Body, &r); err != nil {
 		return httplite.NewResponse(400, []byte("bad report body"))
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, u := range r.Add {
 		basic := dnswire.BasicURL(u)
 		c.locations[basic] = holdersInsertFront(c.locations[basic], r.AP)
@@ -698,7 +698,7 @@ func (c *Client) Get(rawURL string) ([]byte, error) {
 	var data []byte
 	servedFromAP := false
 	if hit {
-		apAddr, perr := parseAddr(string(resp.Body))
+		apAddr, perr := transport.ParseAddr(string(resp.Body))
 		if perr != nil {
 			return nil, fmt.Errorf("wicache: bad AP address %q: %w", resp.Body, perr)
 		}
@@ -724,18 +724,4 @@ func (c *Client) Get(rawURL string) ([]byte, error) {
 		c.stats.Retrieval.Add(elapsed)
 	}
 	return data, nil
-}
-
-// parseAddr parses "host:port".
-func parseAddr(s string) (transport.Addr, error) {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == ':' {
-			port, err := strconv.Atoi(s[i+1:])
-			if err != nil || port < 0 || port > 65535 {
-				return transport.Addr{}, fmt.Errorf("bad port in %q", s)
-			}
-			return transport.Addr{Host: s[:i], Port: uint16(port)}, nil
-		}
-	}
-	return transport.Addr{}, fmt.Errorf("no port in %q", s)
 }

@@ -3,6 +3,8 @@ package wicache
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -230,13 +232,52 @@ func TestUndeclaredURLGetsDefaults(t *testing.T) {
 	})
 }
 
-func TestParseAddr(t *testing.T) {
-	if a, err := parseAddr("ap:7001"); err != nil || a.Host != "ap" || a.Port != 7001 {
-		t.Errorf("parseAddr = %+v, %v", a, err)
+// deadHost is a transport.Host whose dials and listens fail: enough to
+// build a controller whose handlers are driven directly.
+type deadHost struct{}
+
+func (deadHost) Name() string { return "ec2" }
+func (deadHost) Listen(uint16) (transport.Listener, error) {
+	return nil, transport.ErrRefused
+}
+func (deadHost) ListenPacket(uint16) (transport.PacketConn, error) {
+	return nil, transport.ErrRefused
+}
+func (deadHost) Dial(transport.Addr) (transport.Stream, error) {
+	return nil, transport.ErrRefused
+}
+func (deadHost) Now() time.Time { return time.Now() }
+
+// TestControllerHandlersConcurrent drives the report, locate and purge
+// handlers from real goroutines, as edged's real-socket server does;
+// run under -race it catches unguarded location-table and counter
+// access.
+func TestControllerHandlersConcurrent(t *testing.T) {
+	c := NewController(&vclock.Real{}, deadHost{})
+	const workers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				u := fmt.Sprintf("http://api.m.example/obj%d", i%16)
+				switch (w + i) % 3 {
+				case 0:
+					body, _ := json.Marshal(report{AP: fmt.Sprintf("ap%d", w), Add: []string{u}})
+					c.handleReport(&httplite.Request{Body: body})
+				case 1:
+					body, _ := json.Marshal(locateRequest{URL: u})
+					c.handleLocate(&httplite.Request{Body: body})
+				case 2:
+					body, _ := json.Marshal(coherence.Msg{URL: u, Version: int64(i + 1)})
+					c.handlePurge(&httplite.Request{Body: body})
+				}
+			}
+		}()
 	}
-	for _, bad := range []string{"noport", "x:abc", "x:99999"} {
-		if _, err := parseAddr(bad); err == nil {
-			t.Errorf("parseAddr(%q) succeeded", bad)
-		}
+	wg.Wait()
+	if want := workers * rounds / 3; c.Locates < want-workers || c.Purges < want-workers {
+		t.Errorf("locates = %d, purges = %d, want about %d each", c.Locates, c.Purges, want)
 	}
 }
