@@ -36,9 +36,7 @@ func run(apps, minutes int, capacity int64, prefetch bool) error {
 		"system", "mean (ms)", "p95 (ms)", "hit ratio", "high-prio", "executions")
 
 	for _, system := range testbed.Systems {
-		sim := vclock.NewSim(time.Time{})
-		var runErr error
-		sim.Run("apfleet", func() {
+		err := vclock.Simulate("apfleet", func(sim *vclock.Sim) error {
 			tb, err := testbed.New(sim, system, testbed.Config{
 				Suite:          suite,
 				Seed:           31,
@@ -46,13 +44,11 @@ func run(apps, minutes int, capacity int64, prefetch bool) error {
 				EnablePrefetch: prefetch,
 			})
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			res := workload.Run(sim, suite, tb.FetcherFor, duration, 13)
 			if res.Failures > 0 {
-				runErr = fmt.Errorf("%v: %d failed executions", system, res.Failures)
-				return
+				return fmt.Errorf("%v: %d failed executions", system, res.Failures)
 			}
 			hits := tb.HitStats()
 			hitCol, highCol := "n/a", "n/a"
@@ -65,13 +61,9 @@ func run(apps, minutes int, capacity int64, prefetch bool) error {
 				float64(res.Overall.Mean())/float64(time.Millisecond),
 				float64(res.Overall.P95())/float64(time.Millisecond),
 				hitCol, highCol, res.Executions)
+			return nil
 		})
-		sim.Shutdown()
-		sim.Wait()
-		if runErr != nil {
-			return runErr
-		}
-		if err := sim.Err(); err != nil {
+		if err != nil {
 			return err
 		}
 	}

@@ -45,42 +45,32 @@ func run(model string, runs int) error {
 	app := suite.Apps[0] // the MovieTrailer DAG
 
 	for _, system := range []testbed.System{testbed.SystemAPECache, testbed.SystemEdgeCache} {
-		sim := vclock.NewSim(time.Time{})
-		var runErr error
-		sim.Run("movietrailer", func() {
+		err := vclock.Simulate("movietrailer", func(sim *vclock.Sim) error {
 			tb, err := testbed.New(sim, system, testbed.Config{Suite: suite, Seed: 7})
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			fmt.Printf("--- %s (%s model) ---\n", system, model)
 			fetcher := tb.FetcherFor(app)
 			if model == "api" && system == testbed.SystemAPECache {
 				client, ok := fetcher.(*apecache.Client)
 				if !ok {
-					runErr = fmt.Errorf("api model needs the APE-CACHE client")
-					return
+					return fmt.Errorf("api model needs the APE-CACHE client")
 				}
-				runErr = runAPIBased(sim, client, runs)
-				return
+				return runAPIBased(sim, client, runs)
 			}
 			for i := 1; i <= runs; i++ {
 				res := appmodel.Execute(sim, sim, app, fetcher)
 				if res.Err != nil {
-					runErr = res.Err
-					return
+					return res.Err
 				}
 				fmt.Printf("run %2d: app-level latency %7.2f ms\n",
 					i, float64(res.Latency)/float64(time.Millisecond))
 				sim.Sleep(5 * time.Second)
 			}
+			return nil
 		})
-		sim.Shutdown()
-		sim.Wait()
-		if runErr != nil {
-			return runErr
-		}
-		if err := sim.Err(); err != nil {
+		if err != nil {
 			return err
 		}
 	}

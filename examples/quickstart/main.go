@@ -35,18 +35,7 @@ func main() {
 func run() error {
 	// The simulation clock: one virtual hour runs in milliseconds, and
 	// the same code runs under apecache.RealEnv() on real sockets.
-	sim := vclock.NewSim(time.Time{})
-	defer func() {
-		sim.Shutdown()
-		sim.Wait()
-	}()
-
-	var runErr error
-	sim.Run("quickstart", func() { runErr = demo(sim) })
-	if runErr != nil {
-		return runErr
-	}
-	return sim.Err()
+	return vclock.Simulate("quickstart", demo)
 }
 
 func demo(sim *vclock.Sim) error {

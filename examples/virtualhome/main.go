@@ -47,43 +47,31 @@ func run(runs int, model string) error {
 	fmt.Printf("struct tags declared %d cacheable objects\n", reg.Len())
 
 	for _, system := range testbed.Systems {
-		sim := vclock.NewSim(time.Time{})
-		var (
-			stats  metrics.LatencyStats
-			runErr error
-		)
-		sim.Run("virtualhome", func() {
+		var stats metrics.LatencyStats
+		err := vclock.Simulate("virtualhome", func(sim *vclock.Sim) error {
 			tb, err := testbed.New(sim, system, testbed.Config{Suite: suite, Seed: 9})
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			fetcher := tb.FetcherFor(app)
 			if model == "api" && system == testbed.SystemAPECache {
 				client, ok := fetcher.(*apecache.Client)
 				if !ok {
-					runErr = fmt.Errorf("api model needs the APE-CACHE client")
-					return
+					return fmt.Errorf("api model needs the APE-CACHE client")
 				}
-				runErr = runAPIBased(sim, client, runs, &stats)
-				return
+				return runAPIBased(sim, client, runs, &stats)
 			}
 			for range runs {
 				res := appmodel.Execute(sim, sim, app, fetcher)
 				if res.Err != nil {
-					runErr = res.Err
-					return
+					return res.Err
 				}
 				stats.Add(res.Latency)
 				sim.Sleep(3 * time.Second)
 			}
+			return nil
 		})
-		sim.Shutdown()
-		sim.Wait()
-		if runErr != nil {
-			return runErr
-		}
-		if err := sim.Err(); err != nil {
+		if err != nil {
 			return err
 		}
 		fmt.Printf("%-14s mean %7.2f ms   p95 %7.2f ms   over %d runs\n",

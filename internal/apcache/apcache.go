@@ -186,7 +186,8 @@ type AP struct {
 	DelegationBytes int64
 	// revalidating and delegating are the singleflight guards: one
 	// background revalidation per URL, one edge fetch per URL across
-	// concurrent delegations.
+	// concurrent delegations. A true revalidating value asks the one in
+	// flight to run once more.
 	revalidating map[string]bool
 	delegating   map[string]bool
 }
@@ -458,7 +459,7 @@ func (ap *AP) handleCacheGet(req *httplite.Request) *httplite.Response {
 				// copy at hit speed and make sure a revalidation is
 				// running (belt and braces — the purge handler already
 				// scheduled one; the singleflight guard dedupes).
-				ap.cfg.Env.Go("apcache.revalidate", func() { ap.revalidate(basic) })
+				ap.cfg.Env.Go("apcache.revalidate", func() { ap.revalidate(basic, false) })
 				ap.account(OpCacheServe, len(stale.Data))
 				result = "stale"
 				ap.tel.serveStale.Inc()

@@ -79,31 +79,39 @@ func (ap *AP) handlePurge(req *httplite.Request) *httplite.Response {
 		}
 		if stale {
 			url := msg.URL
-			ap.cfg.Env.Go("apcache.revalidate", func() { ap.revalidate(url) })
+			ap.cfg.Env.Go("apcache.revalidate", func() { ap.revalidate(url, true) })
 		}
 	}
 	return httplite.NewResponse(200, nil)
 }
 
-// revalidate runs the stale-while-revalidate background refresh: a
-// conditional GET against the edge with the held version as validator.
-// 304 re-leases the resident bytes, 200 replaces them with the new
-// version, 404/410 evicts and negative-caches. At most one revalidation
-// per URL runs at a time (singleflight).
-func (ap *AP) revalidate(url string) {
+// revalidate runs the stale-while-revalidate background refresh. At most
+// one revalidation per URL runs at a time (singleflight). A purge-spawned
+// call (rerun) that finds one in flight makes it run once more: the
+// fetch in flight may return the version this purge just superseded,
+// which the store's version gate then rejects.
+func (ap *AP) revalidate(url string, rerun bool) {
 	ap.mu.Lock()
-	if ap.revalidating[url] {
+	if again, busy := ap.revalidating[url]; busy {
+		ap.revalidating[url] = again || rerun
 		ap.mu.Unlock()
 		return
 	}
-	ap.revalidating[url] = true
-	ap.mu.Unlock()
-	defer func() {
-		ap.mu.Lock()
-		delete(ap.revalidating, url)
+	for again := true; again; {
+		ap.revalidating[url] = false
 		ap.mu.Unlock()
-	}()
+		ap.revalidateOnce(url)
+		ap.mu.Lock()
+		again = ap.revalidating[url]
+	}
+	delete(ap.revalidating, url)
+	ap.mu.Unlock()
+}
 
+// revalidateOnce is one conditional GET against the edge with the held
+// version as validator. 304 re-leases the resident bytes, 200 replaces
+// them with the new version, 404/410 evicts and negative-caches.
+func (ap *AP) revalidateOnce(url string) {
 	entry, ok := ap.store.Peek(url)
 	if !ok {
 		return

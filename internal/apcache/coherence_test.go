@@ -36,6 +36,7 @@ func newCohFixture(t *testing.T, sim *vclock.Sim, mode coherence.Mode) *cohFixtu
 	net.SetLink("client", "ap", simnet.Path{Latency: time.Millisecond})
 	net.SetLink("ap", "edge", simnet.Path{Latency: 10 * time.Millisecond})
 	net.SetLink("edge", "origin", simnet.Path{Latency: 20 * time.Millisecond})
+	net.SetLink("publisher", "edge", simnet.Path{Latency: time.Millisecond})
 
 	obj := &objstore.Object{URL: "http://api.t.example/item", App: "t", Size: 4 << 10,
 		TTL: 30 * time.Minute, Priority: 2, OriginDelay: 10 * time.Millisecond}
@@ -77,11 +78,10 @@ func newCohFixture(t *testing.T, sim *vclock.Sim, mode coherence.Mode) *cohFixtu
 
 func runCoh(t *testing.T, mode coherence.Mode, fn func(fx *cohFixture)) {
 	t.Helper()
-	sim := vclock.NewSim(time.Time{})
-	sim.Run("main", func() { fn(newCohFixture(t, sim, mode)) })
-	sim.Shutdown()
-	sim.Wait()
-	if err := sim.Err(); err != nil {
+	if err := vclock.Simulate("main", func(sim *vclock.Sim) error {
+		fn(newCohFixture(t, sim, mode))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -188,6 +188,38 @@ func TestSWRStaleServeThenBackgroundRefresh(t *testing.T) {
 			t.Errorf("mode = %q", snap.Coherence)
 		}
 	})
+}
+
+// TestSWRSecondPurgeDuringRevalidation publishes v1 and then v2 a gap
+// later, so for some gaps the second purge lands while the first purge's
+// revalidation (or the edge fill behind it) is still in flight. Whatever
+// the gap, the AP must settle on v2, fresh: neither the edge nor the AP
+// may keep the v1 fill the second purge made obsolete.
+func TestSWRSecondPurgeDuringRevalidation(t *testing.T) {
+	var failed []int
+	for gap := 0; gap <= 150; gap++ {
+		runCoh(t, coherence.ModeSWR, func(fx *cohFixture) {
+			cohDelegate(t, fx)
+			publish := func() {
+				v, _ := fx.catalog.Mutate(fx.obj.URL)
+				pub := httplite.NewClient(fx.net.Node("publisher"))
+				if err := coherence.Publish(pub, fx.hubAddr, coherence.Msg{URL: fx.obj.URL, Version: v}); err != nil {
+					t.Errorf("publish v%d: %v", v, err)
+				}
+			}
+			fx.sim.Go("publish.v1", publish)
+			fx.sim.Sleep(time.Duration(gap) * time.Millisecond)
+			publish()
+			fx.sim.Sleep(2 * time.Second)
+			e, ok := fx.ap.Store().Peek(fx.obj.URL)
+			if fx.ap.Store().Flag(fx.obj.URL) != dnswire.FlagCacheHit || !ok || !bytes.Equal(e.Data, fx.obj.Body()) {
+				failed = append(failed, gap)
+			}
+		})
+	}
+	if len(failed) > 0 {
+		t.Errorf("AP copy not fresh v2 after gaps (ms) %v", failed)
+	}
 }
 
 func TestInvalidateModeEvictsImmediately(t *testing.T) {

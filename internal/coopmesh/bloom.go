@@ -40,17 +40,13 @@ type Bloom struct {
 	Bits []uint64 `json:"bits"`
 }
 
-// NewBloom sizes a filter for n elements at the given false-positive
-// rate (DefaultFPRate when fpRate is out of (0,1)).
-func NewBloom(n int, fpRate float64) *Bloom {
+// NewBloom sizes a filter for n elements at DefaultFPRate.
+func NewBloom(n int) *Bloom {
 	if n < 1 {
 		n = 1
 	}
-	if fpRate <= 0 || fpRate >= 1 {
-		fpRate = DefaultFPRate
-	}
 	ln2 := math.Ln2
-	m := uint64(math.Ceil(-float64(n) * math.Log(fpRate) / (ln2 * ln2)))
+	m := uint64(math.Ceil(-float64(n) * math.Log(DefaultFPRate) / (ln2 * ln2)))
 	if m < 64 {
 		m = 64
 	}

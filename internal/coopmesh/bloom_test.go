@@ -14,7 +14,7 @@ func TestBloomMembershipProperty(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			members := make(map[uint64]bool, n)
-			b := NewBloom(n, DefaultFPRate)
+			b := NewBloom(n)
 			for len(members) < n {
 				h := rng.Uint64()
 				members[h] = true
@@ -54,7 +54,7 @@ func TestBloomMembershipProperty(t *testing.T) {
 
 func TestBloomSizing(t *testing.T) {
 	for _, n := range []int{1, 10, 1000, 100000} {
-		b := NewBloom(n, DefaultFPRate)
+		b := NewBloom(n)
 		if b.K < 1 || b.K > 16 {
 			t.Errorf("n=%d: k=%d outside [1,16]", n, b.K)
 		}
@@ -75,12 +75,12 @@ func TestBloomValidation(t *testing.T) {
 	if nilBloom.MayContain(42) {
 		t.Error("nil bloom claims membership")
 	}
-	b := NewBloom(100, DefaultFPRate)
+	b := NewBloom(100)
 	b.Bits = b.Bits[:len(b.Bits)-1]
 	if err := b.valid(); err == nil {
 		t.Error("truncated bit array validated")
 	}
-	b2 := NewBloom(100, DefaultFPRate)
+	b2 := NewBloom(100)
 	b2.K = 99
 	if err := b2.valid(); err == nil {
 		t.Error("absurd probe count validated")

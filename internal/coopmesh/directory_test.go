@@ -21,7 +21,7 @@ func testSummary(node string, seq uint64, urls ...string) *Summary {
 		Seq:  seq, Entries: len(urls),
 	}
 	if len(urls) > 0 {
-		s.Bloom = NewBloom(len(urls), DefaultFPRate)
+		s.Bloom = NewBloom(len(urls))
 		for _, u := range urls {
 			s.Bloom.Add(dnswire.HashURL(dnswire.BasicURL(u)))
 		}

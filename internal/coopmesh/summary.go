@@ -41,7 +41,7 @@ func BuildSummary(node string, addr transport.Addr, store *cachepolicy.Store, se
 	s := &Summary{Node: node, Addr: addr, Seq: seq, Generation: generation,
 		Entries: len(hashes), Domains: domains}
 	if len(hashes) > 0 {
-		s.Bloom = NewBloom(len(hashes), DefaultFPRate)
+		s.Bloom = NewBloom(len(hashes))
 		for _, h := range hashes {
 			s.Bloom.Add(h)
 		}

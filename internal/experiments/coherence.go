@@ -30,12 +30,24 @@ var coherenceModes = []struct {
 	{"SWR", coherence.ModeSWR},
 }
 
-// coherenceOutcome aggregates one mode's run.
+// coherenceOutcome aggregates one mode's run; the ledger capture also
+// carries the run's hit ratio.
 type coherenceOutcome struct {
-	purges   int
-	fetches  int
-	stale    int
-	hitRatio float64
+	purges  int
+	fetches int
+	stale   int
+	ledger  *explainOutcome
+}
+
+// coherenceSchedule times the mutating-origin schedule: how long it is
+// measured, how often the origin mutates, and how often the driver
+// fetches.
+func coherenceSchedule(cfg RunConfig) (duration, mutateEvery, fetchEvery time.Duration) {
+	duration = cfg.workloadDuration() / 6
+	if duration < 30*time.Second {
+		duration = 30 * time.Second
+	}
+	return duration, duration / 6, 2 * time.Second
 }
 
 // runCoherence replays the same mutating-origin schedule against an
@@ -49,13 +61,6 @@ type coherenceOutcome struct {
 // the price of a miss per purge, and SWR bounds staleness at one serve per
 // purged object without giving up the hit.
 func runCoherence(cfg RunConfig) (*Result, error) {
-	duration := cfg.workloadDuration() / 6
-	if duration < 30*time.Second {
-		duration = 30 * time.Second
-	}
-	mutateEvery := duration / 6
-	fetchEvery := 2 * time.Second
-
 	res := &Result{
 		ID:     "coherence",
 		Title:  "Stale serves and hit ratio under a mutating origin",
@@ -67,7 +72,7 @@ func runCoherence(cfg RunConfig) (*Result, error) {
 		},
 	}
 	for _, m := range coherenceModes {
-		out, err := runCoherenceMode(m.mode, cfg.Seed, duration, mutateEvery, fetchEvery)
+		out, err := runCoherenceMode(m.mode, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("coherence %s: %w", m.label, err)
 		}
@@ -81,25 +86,24 @@ func runCoherence(cfg RunConfig) (*Result, error) {
 			fmt.Sprintf("%d", out.fetches),
 			fmt.Sprintf("%d", out.stale),
 			fmt.Sprintf("%.2f", perPurge),
-			ratio(out.hitRatio),
+			ratio(out.ledger.hitRatio),
 		})
 	}
 	return res, nil
 }
 
-// runCoherenceMode executes the mutating-origin schedule for one mode.
-func runCoherenceMode(mode coherence.Mode, seed int64, duration, mutateEvery, fetchEvery time.Duration) (*coherenceOutcome, error) {
-	suite := workload.Generate(workload.GeneratorConfig{NumApps: 4, Seed: seed + 33})
-	sim := vclock.NewSim(time.Time{})
+// runCoherenceMode executes the mutating-origin schedule for one mode,
+// with the decision ledger on.
+func runCoherenceMode(mode coherence.Mode, cfg RunConfig) (*coherenceOutcome, error) {
+	duration, mutateEvery, fetchEvery := coherenceSchedule(cfg)
+	suite := workload.Generate(workload.GeneratorConfig{NumApps: 4, Seed: cfg.Seed + 33})
 	out := &coherenceOutcome{}
-	var runErr error
-	sim.Run("coherence", func() {
+	err := vclock.Simulate("coherence", func(sim *vclock.Sim) error {
 		tb, err := testbed.New(sim, testbed.SystemAPECache, testbed.Config{
-			Suite: suite, Seed: seed, Coherence: mode,
+			Suite: suite, Seed: cfg.Seed, Coherence: mode, DecisionLog: true,
 		})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		app := suite.Apps[0]
 		objects := app.Objects()
@@ -121,8 +125,7 @@ func runCoherenceMode(mode coherence.Mode, seed int64, duration, mutateEvery, fe
 		// before measuring.
 		for _, o := range objects {
 			if _, err := fetcher.Get(o.URL); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		sim.Sleep(2 * time.Second)
@@ -136,36 +139,29 @@ func runCoherenceMode(mode coherence.Mode, seed int64, duration, mutateEvery, fe
 				mutations++
 				nextMutate = nextMutate.Add(mutateEvery)
 				if _, err := tb.MutateObject(target.URL); err != nil {
-					runErr = err
-					return
+					return err
 				}
 				out.purges++
 				// Probe inside the stale window: the bus relay has landed
 				// but the background revalidation is still in flight.
 				sim.Sleep(25 * time.Millisecond)
 				if err := fetch(target); err != nil {
-					runErr = err
-					return
+					return err
 				}
 				sim.Sleep(fetchEvery)
 				continue
 			}
 			for _, o := range objects {
 				if err := fetch(o); err != nil {
-					runErr = err
-					return
+					return err
 				}
 			}
 			sim.Sleep(fetchEvery)
 		}
-		out.hitRatio = tb.HitStats().All.Ratio()
+		out.ledger = captureLedger(tb)
+		return nil
 	})
-	sim.Shutdown()
-	sim.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := sim.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"apecache/internal/testbed"
 	"apecache/internal/vclock"
@@ -90,42 +89,33 @@ func runCoop(cfg RunConfig) (*Result, error) {
 
 // coopRun drives one mesh-size/mesh-mode point in a fresh simulation.
 func coopRun(cfg RunConfig, size int, meshOn bool, ticks int) (coopRow, error) {
-	sim := vclock.NewSim(time.Time{})
 	row := coopRow{size: size}
-	var runErr error
-	sim.Run("coop", func() {
+	err := vclock.Simulate("coop", func(sim *vclock.Sim) error {
 		m, err := testbed.NewMesh(sim, testbed.MeshConfig{
 			NumAPs:      size,
 			Seed:        cfg.Seed,
 			MeshEnabled: meshOn,
 		})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		defer m.Stop()
-		m.Drive(ticks)
+		m.DriveTicks(ticks)
+		totals := m.MeshTotals()
 		row.requests = m.Requests
-		row.peerHits = m.PeerHits()
-		row.fallbacks = m.PeerFallbacks()
+		row.peerHits = totals.PeerHits
+		row.fallbacks = totals.PeerFallbacks
 		if m.Requests > 0 {
 			row.localHitRatio = float64(m.LocalHits) / float64(m.Requests)
 		}
 		if meshOn {
-			row.backhaulOn = m.BackhaulBytes()
+			row.backhaulOn = totals.BackhaulBytes
 		} else {
-			row.backhaulOff = m.BackhaulBytes()
+			row.backhaulOff = totals.BackhaulBytes
 		}
+		return nil
 	})
-	sim.Shutdown()
-	sim.Wait()
-	if runErr != nil {
-		return row, runErr
-	}
-	if err := sim.Err(); err != nil {
-		return row, err
-	}
-	return row, nil
+	return row, err
 }
 
 // CoopOutcome extracts the acceptance signals from a coop result: the

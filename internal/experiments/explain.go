@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"apecache/internal/coherence"
 	"apecache/internal/decisionlog"
-	"apecache/internal/objstore"
 	"apecache/internal/testbed"
-	"apecache/internal/vclock"
-	"apecache/internal/workload"
 )
 
 func init() {
@@ -62,9 +58,14 @@ const (
 // identityExpr names the identity in rendered notes and errors.
 const identityExpr = "store lookup misses + delegations + peer hits"
 
-// captureLedger reads the attribution state off a live testbed AP. Must
-// run inside the simulation, before shutdown.
+// captureLedger reads the attribution state off a live testbed AP, or
+// returns nil when the testbed has no APE-CACHE AP (the Edge Cache
+// system's forwarder AP keeps no ledger). Must run inside the simulation,
+// before shutdown.
 func captureLedger(tb *testbed.Testbed) *explainOutcome {
+	if tb.AP == nil || tb.AP.Ledger() == nil {
+		return nil
+	}
 	led := tb.AP.Ledger()
 	m := tb.AP.Telemetry().Metrics.Expand()
 	return &explainOutcome{
@@ -75,24 +76,27 @@ func captureLedger(tb *testbed.Testbed) *explainOutcome {
 	}
 }
 
-// runExplain replays two very different workloads with the decision
-// ledger on and renders the fleet of miss causes side by side: the
-// Table-IV object-size workload (capacity pressure → PACM evictions and
-// admission rejections dominate) and the mutating-origin coherence
-// workload under SWR (purges and revalidations dominate). Both runs
-// prove the attribution identity before any row is rendered.
+// runExplain renders the miss causes of two very different workloads
+// side by side: the Table-IV object-size run (capacity pressure → PACM
+// evictions and admission rejections dominate; shared with table4 through
+// the run memo) and the coherence sweep's SWR run (purges and
+// revalidations dominate). Both runs prove the attribution identity
+// before any row is rendered.
 func runExplain(cfg RunConfig) (*Result, error) {
-	steady, err := runExplainWorkload(cfg)
+	suite, key := suiteForSize(300, cfg.Seed)
+	run, err := runWorkload(testbed.SystemAPECache, suite, key, cfg.workloadDuration(), cfg.Seed, defaultCapacity)
 	if err != nil {
 		return nil, fmt.Errorf("explain steady: %w", err)
 	}
+	steady := run.Ledger
 	if err := steady.checkIdentity("steady"); err != nil {
 		return nil, err
 	}
-	coh, err := runExplainCoherence(cfg)
+	swr, err := runCoherenceMode(coherence.ModeSWR, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("explain coherence: %w", err)
 	}
+	coh := swr.ledger
 	if err := coh.checkIdentity("coherence"); err != nil {
 		return nil, err
 	}
@@ -116,128 +120,4 @@ func runExplain(cfg RunConfig) (*Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// runExplainWorkload runs the Table-IV 300 KB object-size suite with the
-// ledger on. Not memoized with the shared runWorkload runs: the ledger
-// knob must not leak into the baseline outcomes other tables reuse.
-func runExplainWorkload(cfg RunConfig) (*explainOutcome, error) {
-	suite, _ := suiteForSize(300, cfg.Seed)
-	sim := vclock.NewSim(time.Time{})
-	var (
-		out    *explainOutcome
-		runErr error
-	)
-	sim.Run("explain-steady", func() {
-		tb, err := testbed.New(sim, testbed.SystemAPECache, testbed.Config{
-			Suite:       suite,
-			Seed:        cfg.Seed,
-			DecisionLog: true,
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		res := workload.Run(sim, suite, tb.FetcherFor, cfg.workloadDuration(), cfg.Seed+101)
-		if res.Failures > 0 {
-			runErr = fmt.Errorf("%d failed executions", res.Failures)
-			return
-		}
-		out = captureLedger(tb)
-	})
-	sim.Shutdown()
-	sim.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := sim.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runExplainCoherence replays the coherence experiment's mutating-origin
-// schedule under SWR with the ledger on, so purge/stale attribution is
-// exercised end to end (bus relay → store purge → ledger event →
-// classified miss).
-func runExplainCoherence(cfg RunConfig) (*explainOutcome, error) {
-	duration := cfg.workloadDuration() / 6
-	if duration < 30*time.Second {
-		duration = 30 * time.Second
-	}
-	mutateEvery := duration / 6
-	fetchEvery := 2 * time.Second
-
-	suite := workload.Generate(workload.GeneratorConfig{NumApps: 4, Seed: cfg.Seed + 33})
-	sim := vclock.NewSim(time.Time{})
-	var (
-		out    *explainOutcome
-		runErr error
-	)
-	sim.Run("explain-coherence", func() {
-		tb, err := testbed.New(sim, testbed.SystemAPECache, testbed.Config{
-			Suite:       suite,
-			Seed:        cfg.Seed,
-			Coherence:   coherence.ModeSWR,
-			DecisionLog: true,
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		app := suite.Apps[0]
-		objects := app.Objects()
-		fetcher := tb.FetcherFor(app)
-
-		fetch := func(o *objstore.Object) error {
-			_, err := fetcher.Get(o.URL)
-			return err
-		}
-		for _, o := range objects {
-			if err := fetch(o); err != nil {
-				runErr = err
-				return
-			}
-		}
-		sim.Sleep(2 * time.Second)
-
-		start := sim.Now()
-		nextMutate := start.Add(mutateEvery)
-		mutations := 0
-		for sim.Now().Sub(start) < duration {
-			if !sim.Now().Before(nextMutate) {
-				target := objects[mutations%len(objects)]
-				mutations++
-				nextMutate = nextMutate.Add(mutateEvery)
-				if _, err := tb.MutateObject(target.URL); err != nil {
-					runErr = err
-					return
-				}
-				sim.Sleep(25 * time.Millisecond)
-				if err := fetch(target); err != nil {
-					runErr = err
-					return
-				}
-				sim.Sleep(fetchEvery)
-				continue
-			}
-			for _, o := range objects {
-				if err := fetch(o); err != nil {
-					runErr = err
-					return
-				}
-			}
-			sim.Sleep(fetchEvery)
-		}
-		out = captureLedger(tb)
-	})
-	sim.Shutdown()
-	sim.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := sim.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

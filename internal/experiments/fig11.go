@@ -82,12 +82,8 @@ func runFig11b(cfg RunConfig) (*Result, error) {
 	suite := workload.Generate(workload.GeneratorConfig{NumApps: 2, Seed: cfg.Seed})
 	app := suite.Apps[0] // MovieTrailer
 
-	sim := vclock.NewSim(time.Time{})
-	var (
-		rows   [][]string
-		runErr error
-	)
-	sim.Run("fig11b", func() {
+	var rows [][]string
+	err := vclock.Simulate("fig11b", func(sim *vclock.Sim) error {
 		// Long-TTL CDN answers make "regular DNS query (hit)" a real AP
 		// cache hit; between rounds we sleep past the TTL in virtual
 		// time to restore the cold state for the miss measurement.
@@ -98,19 +94,16 @@ func runFig11b(cfg RunConfig) (*Result, error) {
 			DNSAnswerTTL: answerTTL,
 		})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		client, ok := tb.FetcherFor(app).(*apeclient.Client)
 		if !ok {
-			runErr = fmt.Errorf("unexpected fetcher type")
-			return
+			return fmt.Errorf("unexpected fetcher type")
 		}
 		// Warm the AP object cache with the app's domain.
 		for _, o := range app.Objects() {
 			if _, err := client.Get(o.URL); err != nil {
-				runErr = fmt.Errorf("warm-up: %w", err)
-				return
+				return fmt.Errorf("warm-up: %w", err)
 			}
 		}
 		domain := app.Objects()[0].Domain()
@@ -139,33 +132,33 @@ func runFig11b(cfg RunConfig) (*Result, error) {
 
 			// (1) Regular DNS query that misses at the AP and recurses.
 			start := sim.Now()
-			if runErr = query(false); runErr != nil {
-				return
+			if err := query(false); err != nil {
+				return err
 			}
 			plainMiss.Add(sim.Now().Sub(start))
 
 			// (2) Regular DNS query answered from the AP cache.
 			start = sim.Now()
-			if runErr = query(false); runErr != nil {
-				return
+			if err := query(false); err != nil {
+				return err
 			}
 			plainHit.Add(sim.Now().Sub(start))
 
 			// (3) Piggybacked DNS-Cache query (dummy-IP short circuit).
 			start = sim.Now()
-			if runErr = query(true); runErr != nil {
-				return
+			if err := query(true); err != nil {
+				return err
 			}
 			dnsCacheQ.Add(sim.Now().Sub(start))
 
 			// (4) The non-piggybacked alternative: a regular DNS query
 			// followed by a separate standalone cache-status query.
 			start = sim.Now()
-			if runErr = query(false); runErr != nil {
-				return
+			if err := query(false); err != nil {
+				return err
 			}
-			if runErr = query(true); runErr != nil {
-				return
+			if err := query(true); err != nil {
+				return err
 			}
 			twoQueries.Add(sim.Now().Sub(start))
 		}
@@ -177,13 +170,9 @@ func runFig11b(cfg RunConfig) (*Result, error) {
 			[]string{"Two standalone queries (DNS + cache)", ms(twoQueries.Mean()),
 				fmt.Sprintf("+%s vs piggybacked", ms(twoQueries.Mean()-dnsCacheQ.Mean()))},
 		)
+		return nil
 	})
-	sim.Shutdown()
-	sim.Wait()
-	if runErr != nil {
-		return nil, fmt.Errorf("fig11b: %w", runErr)
-	}
-	if err := sim.Err(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("fig11b: %w", err)
 	}
 	return &Result{

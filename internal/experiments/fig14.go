@@ -41,12 +41,8 @@ func runFig14(cfg RunConfig) (*Result, error) {
 	}
 	measure := func(system testbed.System) (sample, error) {
 		suite := workload.Generate(workload.GeneratorConfig{NumApps: 28, Seed: cfg.Seed})
-		sim := vclock.NewSim(time.Time{})
-		var (
-			router *resmodel.Router
-			runErr error
-		)
-		sim.Run("fig14", func() {
+		var router *resmodel.Router
+		err := vclock.Simulate("fig14", func(sim *vclock.Sim) error {
 			router = resmodel.NewRouter(sim, resmodel.DefaultCosts())
 			if system == testbed.SystemAPECache {
 				router.EnableAPE()
@@ -57,8 +53,7 @@ func runFig14(cfg RunConfig) (*Result, error) {
 				Resources: router,
 			})
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			duration := cfg.workloadDuration()
 			// Sampler: every 10 s of virtual time, snapshot utilization.
@@ -77,15 +72,11 @@ func runFig14(cfg RunConfig) (*Result, error) {
 			}
 			res := workload.Run(sim, suite, fetcherFor, duration, cfg.Seed+77)
 			if res.Failures > 0 {
-				runErr = fmt.Errorf("%d failed executions", res.Failures)
+				return fmt.Errorf("%d failed executions", res.Failures)
 			}
+			return nil
 		})
-		sim.Shutdown()
-		sim.Wait()
-		if runErr != nil {
-			return sample{}, fmt.Errorf("fig14 %v: %w", system, runErr)
-		}
-		if err := sim.Err(); err != nil {
+		if err != nil {
 			return sample{}, fmt.Errorf("fig14 %v: %w", system, err)
 		}
 		return sample{

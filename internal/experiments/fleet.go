@@ -34,7 +34,6 @@ func runFleetHealth(cfg RunConfig) (*Result, error) {
 		phase = 2 * time.Minute // burn windows need 90s of history to arm
 	}
 
-	sim := vclock.NewSim(time.Time{})
 	res := &Result{
 		ID:     "fleet-health",
 		Title:  "Per-AP health and SLO alerting across a brownout (16 APs)",
@@ -44,12 +43,10 @@ func runFleetHealth(cfg RunConfig) (*Result, error) {
 			"an alert fires when both short- and long-window burn rates reach the threshold; warm-up is fire-suppressed",
 		},
 	}
-	var runErr error
-	sim.Run("fleet-health", func() {
+	err := vclock.Simulate("fleet-health", func(sim *vclock.Sim) error {
 		f, err := testbed.NewFleet(sim, testbed.FleetConfig{Seed: cfg.Seed})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		defer f.Stop()
 
@@ -103,13 +100,9 @@ func runFleetHealth(cfg RunConfig) (*Result, error) {
 			res.Notes = append(res.Notes, fmt.Sprintf("%s %s %s@%s (short burn %.1f, long %.1f)",
 				ev.Time.Format("15:04:05"), ev.Event, ev.SLO, ev.Scope, ev.ShortBurn, ev.LongBurn))
 		}
+		return nil
 	})
-	sim.Shutdown()
-	sim.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := sim.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return res, nil

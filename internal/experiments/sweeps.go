@@ -11,7 +11,8 @@ import (
 )
 
 // outcome aggregates everything one testbed run produces, so the lookup,
-// retrieval, hit-ratio and app-latency experiments can share runs.
+// retrieval, hit-ratio, app-latency and explain experiments can share
+// runs.
 type outcome struct {
 	Lookup     *metrics.LatencyStats
 	Retrieval  *metrics.LatencyStats
@@ -20,6 +21,8 @@ type outcome struct {
 	PerApp     map[string]*metrics.LatencyStats
 	Executions int
 	Failures   int
+	// Ledger is the AP's miss attribution (nil without an APE-CACHE AP).
+	Ledger *explainOutcome
 }
 
 // runKey identifies a memoized run.
@@ -37,27 +40,25 @@ type runKey struct {
 var runMemo = map[runKey]*outcome{}
 
 // runWorkload executes one suite against one system for the duration of
-// virtual time and aggregates the measurements.
+// virtual time and aggregates the measurements. The decision ledger is
+// always on: it sends nothing over the wire, so it moves no other
+// measurement.
 func runWorkload(system testbed.System, suite *workload.Suite, suiteKey string, duration time.Duration, seed, capacity int64) (*outcome, error) {
 	key := runKey{system: system, suiteKey: suiteKey, duration: duration, seed: seed, capacity: capacity}
 	if out, ok := runMemo[key]; ok {
 		return out, nil
 	}
 
-	sim := vclock.NewSim(time.Time{})
-	var (
-		out    *outcome
-		runErr error
-	)
-	sim.Run("experiment", func() {
+	var out *outcome
+	err := vclock.Simulate("experiment", func(sim *vclock.Sim) error {
 		tb, err := testbed.New(sim, system, testbed.Config{
 			Suite:         suite,
 			Seed:          seed,
 			CacheCapacity: capacity,
+			DecisionLog:   true,
 		})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		res := workload.Run(sim, suite, tb.FetcherFor, duration, seed+101)
 		out = &outcome{
@@ -68,14 +69,11 @@ func runWorkload(system testbed.System, suite *workload.Suite, suiteKey string, 
 			PerApp:     res.PerApp,
 			Executions: res.Executions,
 			Failures:   res.Failures,
+			Ledger:     captureLedger(tb),
 		}
+		return nil
 	})
-	sim.Shutdown()
-	sim.Wait()
-	if runErr != nil {
-		return nil, fmt.Errorf("run %v/%s: %w", system, suiteKey, runErr)
-	}
-	if err := sim.Err(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("run %v/%s: %w", system, suiteKey, err)
 	}
 	if out.Failures > 0 {

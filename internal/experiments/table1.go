@@ -85,18 +85,11 @@ func runTable1(cfg RunConfig) (*Result, error) {
 
 // measureTable1Cell builds one location/site topology and measures it.
 func measureTable1Cell(cell table1Site, seed int64, rounds int) (*metrics.LatencyStats, *metrics.LatencyStats, int, error) {
-	sim := vclock.NewSim(time.Time{})
-	defer func() {
-		sim.Shutdown()
-		sim.Wait()
-	}()
-
 	var (
 		dnsStats, rttStats metrics.LatencyStats
 		hops               int
-		runErr             error
 	)
-	sim.Run("table1", func() {
+	err := vclock.Simulate("table1", func(sim *vclock.Sim) error {
 		net := simnet.New(sim, seed+int64(cell.hops))
 		jitterOf := func(d time.Duration) time.Duration { return d / 8 }
 		net.SetLink("client", "ldns", simnet.Path{Latency: cell.ldnsOneWay, Jitter: jitterOf(cell.ldnsOneWay), Hops: 2})
@@ -127,8 +120,7 @@ func measureTable1Cell(cell table1Site, seed int64, rounds int) (*metrics.Latenc
 		}{{"adns", adns}, {"cdndns", cdn}, {"ldns", ldns}} {
 			pc, err := net.Node(s.node).ListenPacket(53)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			h := s.h
 			sim.Go("dns."+s.node, func() { dnsd.Serve(sim, pc, h) })
@@ -139,22 +131,18 @@ func measureTable1Cell(cell table1Site, seed int64, rounds int) (*metrics.Latenc
 			q := dnswire.NewQuery(uint16(i+1), site, dnswire.TypeA)
 			resp, err := dnsd.Query(net.Node("client"), transport.Addr{Host: "ldns", Port: 53}, q, 0)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if _, ok := resp.AnswerA(); !ok {
-				runErr = fmt.Errorf("no A answer for %s", site)
-				return
+				return fmt.Errorf("no A answer for %s", site)
 			}
 			dnsStats.Add(sim.Now().Sub(start))
 			rttStats.Add(net.Ping("client", "cache"))
 		}
 		hops = net.Hops("client", "cache")
+		return nil
 	})
-	if runErr != nil {
-		return nil, nil, 0, runErr
-	}
-	if err := sim.Err(); err != nil {
+	if err != nil {
 		return nil, nil, 0, err
 	}
 	return &dnsStats, &rttStats, hops, nil

@@ -8,6 +8,9 @@ package objstore
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"apecache/internal/coherence"
@@ -40,7 +43,9 @@ type Object struct {
 	// Version is the object's origin version, bumped by Catalog.Mutate
 	// whenever the origin re-produces the object. It is carried across
 	// the stack as an ETag and drives the coherence subsystem's purge and
-	// revalidation decisions. Version 0 is the initial state.
+	// revalidation decisions. Version 0 is the initial state. Once the
+	// object is in a catalog, read it through Body, ETag or CurrentVersion:
+	// Mutate may bump it concurrently.
 	Version int64
 }
 
@@ -57,10 +62,15 @@ func (o *Object) Hash() uint64 { return dnswire.HashURL(o.URL) }
 // version: a repeating pattern derived from the URL and version so
 // integrity — and staleness — can be checked anywhere in the stack
 // without storing bodies.
-func (o *Object) Body() []byte { return VersionedBody(o.URL, o.Size, o.Version) }
+func (o *Object) Body() []byte { return VersionedBody(o.URL, o.Size, o.CurrentVersion()) }
 
 // ETag returns the object's current HTTP validator.
-func (o *Object) ETag() string { return coherence.FormatETag(o.Version) }
+func (o *Object) ETag() string { return coherence.FormatETag(o.CurrentVersion()) }
+
+// CurrentVersion reads Version safely against a concurrent Mutate. A
+// server that needs a matching ETag and body reads it once and derives
+// both from it.
+func (o *Object) CurrentVersion() int64 { return atomic.LoadInt64(&o.Version) }
 
 // BodyFor generates the deterministic payload for any url/size pair at
 // version 0.
@@ -89,8 +99,10 @@ func VersionedBody(url string, size int, version int64) []byte {
 }
 
 // Catalog is the universe of objects known to the origin, indexed by
-// basic URL and by domain.
+// basic URL and by domain. It is safe for concurrent use: Mutate and
+// Remove may run beside the servers' lookups.
 type Catalog struct {
+	mu       sync.RWMutex
 	byURL    map[string]*Object
 	byDomain map[string][]*Object
 	ordered  []*Object
@@ -111,6 +123,8 @@ func NewCatalog(objects ...*Object) *Catalog {
 // Add registers an object (replacing any previous object with the same
 // URL in the byURL index; the replaced object remains in iteration order).
 func (c *Catalog) Add(o *Object) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.byURL[o.URL] = o
 	c.byDomain[o.Domain()] = append(c.byDomain[o.Domain()], o)
 	c.ordered = append(c.ordered, o)
@@ -118,12 +132,16 @@ func (c *Catalog) Add(o *Object) {
 
 // Lookup finds an object by basic URL.
 func (c *Catalog) Lookup(url string) (*Object, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	o, ok := c.byURL[dnswire.BasicURL(url)]
 	return o, ok
 }
 
 // LookupRequest finds an object by Host header and request path.
 func (c *Catalog) LookupRequest(host, path string) (*Object, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	for _, o := range c.byDomain[dnswire.CanonicalName(host)] {
 		if o.Path() == dnswire.BasicURL(path) {
 			return o, true
@@ -134,6 +152,8 @@ func (c *Catalog) LookupRequest(host, path string) (*Object, bool) {
 
 // Domains returns every distinct domain in the catalog.
 func (c *Catalog) Domains() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	domains := make([]string, 0, len(c.byDomain))
 	for d := range c.byDomain {
 		domains = append(domains, d)
@@ -143,24 +163,28 @@ func (c *Catalog) Domains() []string {
 
 // ByDomain returns the objects under one domain.
 func (c *Catalog) ByDomain(domain string) []*Object {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.byDomain[dnswire.CanonicalName(domain)]
 }
 
 // All returns every object in insertion order.
-func (c *Catalog) All() []*Object { return c.ordered }
+func (c *Catalog) All() []*Object {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.ordered
+}
 
 // Mutate models an origin update: it bumps the object's version, which
 // changes the payload Body generates, and returns the new version. The
 // caller is responsible for publishing the corresponding purge on the
-// coherence bus. Mutation must be serialized with readers (the simulator's
-// single-floor scheduler does this; real deployments mutate out-of-band).
+// coherence bus.
 func (c *Catalog) Mutate(url string) (int64, bool) {
-	o, ok := c.byURL[dnswire.BasicURL(url)]
+	o, ok := c.Lookup(url)
 	if !ok {
 		return 0, false
 	}
-	o.Version++
-	return o.Version, true
+	return atomic.AddInt64(&o.Version, 1), true
 }
 
 // Remove models an origin deletion: the object disappears from the
@@ -168,6 +192,8 @@ func (c *Catalog) Mutate(url string) (int64, bool) {
 // purged-and-gone object. It returns the removed object's last version.
 func (c *Catalog) Remove(url string) (int64, bool) {
 	basic := dnswire.BasicURL(url)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	o, ok := c.byURL[basic]
 	if !ok {
 		return 0, false
@@ -177,19 +203,26 @@ func (c *Catalog) Remove(url string) (int64, bool) {
 	objs := c.byDomain[domain]
 	for i, other := range objs {
 		if other == o {
-			c.byDomain[domain] = append(objs[:i], objs[i+1:]...)
+			// A fresh slice: ByDomain callers may still hold the old one.
+			c.byDomain[domain] = slices.Delete(slices.Clone(objs), i, i+1)
 			break
 		}
 	}
-	return o.Version, true
+	return o.CurrentVersion(), true
 }
 
 // Len returns the number of objects.
-func (c *Catalog) Len() int { return len(c.byURL) }
+func (c *Catalog) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.byURL)
+}
 
 // Validate checks catalog invariants (positive sizes, valid priorities,
 // TTLs); the workload generator relies on it.
 func (c *Catalog) Validate() error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	for _, o := range c.byURL {
 		if o.Size <= 0 {
 			return fmt.Errorf("objstore: %s: non-positive size %d", o.URL, o.Size)

@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -263,4 +264,67 @@ func TestMutateRemoveAndConditionalGets(t *testing.T) {
 			t.Errorf("removed object = %v %v, want 404", resp, err)
 		}
 	})
+}
+
+// TestEdgeDropsFillRacingInvalidate invalidates the edge while its
+// origin fill is in flight. The fill still answers its own request, but
+// the edge must not cache it: the next request fetches the new version.
+func TestEdgeDropsFillRacingInvalidate(t *testing.T) {
+	o := obj("http://api.app.example/data", "app", 256, PriorityHigh, 20*time.Millisecond)
+	catalog := NewCatalog(o)
+	edgeFixture(t, catalog, func(sim *vclock.Sim, net *simnet.Network, edge *EdgeCacheServer, origin *OriginServer) {
+		addr := transport.Addr{Host: "edge", Port: 80}
+		done := vclock.NewQueue[*httplite.Response](sim, "fill")
+		sim.Go("cold-get", func() {
+			resp, _ := httplite.NewClient(net.Node("client")).Get(addr, "api.app.example", "/data")
+			done.Push(resp)
+		})
+		// Once the origin has taken the request it produces v0, and the
+		// fill is in flight until the response reaches the edge.
+		for origin.Requests == 0 {
+			sim.Sleep(time.Millisecond)
+		}
+		catalog.Mutate(o.URL)
+		edge.Invalidate(o.URL)
+		if resp, _ := done.Pop(); resp == nil || resp.Get("ETag") != coherence.FormatETag(0) {
+			t.Errorf("racing fill = %+v, want v0", resp)
+			return
+		}
+		resp, err := httplite.NewClient(net.Node("client")).Get(addr, "api.app.example", "/data")
+		if err != nil || resp.Get("ETag") != coherence.FormatETag(1) || !bytes.Equal(resp.Body, o.Body()) {
+			t.Errorf("after racing fill: ETag %q (%v), want v1 fetched from the origin", resp.Get("ETag"), err)
+		}
+		if origin.Requests != 2 {
+			t.Errorf("origin requests = %d, want 2", origin.Requests)
+		}
+	})
+}
+
+// TestCatalogConcurrentMutate runs Mutate and Remove beside the lookups
+// and body reads the origin and edge servers make; run it under -race.
+func TestCatalogConcurrentMutate(t *testing.T) {
+	a := obj("http://api.app.example/a", "app", 64, PriorityHigh, 0)
+	b := obj("http://api.app.example/b", "app", 64, PriorityHigh, 0)
+	catalog := NewCatalog(a, b)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 200 {
+			catalog.Mutate(a.URL)
+		}
+		catalog.Remove(b.URL)
+	}()
+	for range 200 {
+		if o, ok := catalog.LookupRequest("api.app.example", "/a"); ok {
+			_, _ = o.ETag(), o.Body()
+		}
+		for _, o := range catalog.ByDomain("api.app.example") {
+			_ = o.URL
+		}
+	}
+	wg.Wait()
+	if v, _ := catalog.Mutate(a.URL); v != 201 {
+		t.Errorf("version after 201 mutations = %d", v)
+	}
 }

@@ -54,7 +54,10 @@ func (s *OriginServer) ServeHTTP(req *httplite.Request) *httplite.Response {
 				start, s.env.Now().Sub(start), "path="+req.Path)
 		}()
 	}
-	etag := obj.ETag()
+	// One version read per request: a Mutate during the production delay
+	// must not pair this version's ETag with the next version's bytes.
+	version := obj.CurrentVersion()
+	etag := coherence.FormatETag(version)
 	if inm := req.Get("If-None-Match"); inm != "" && inm == etag {
 		resp := httplite.NewResponse(304, nil)
 		resp.Set("ETag", etag)
@@ -62,7 +65,7 @@ func (s *OriginServer) ServeHTTP(req *httplite.Request) *httplite.Response {
 		return resp
 	}
 	s.env.Sleep(obj.OriginDelay)
-	resp := httplite.NewResponse(200, obj.Body())
+	resp := httplite.NewResponse(200, VersionedBody(obj.URL, obj.Size, version))
 	resp.Set("ETag", etag)
 	resp.Set("X-Ape-Source", "origin")
 	return resp
@@ -97,6 +100,9 @@ type EdgeCacheServer struct {
 	origin  transport.Addr
 	mu      sync.Mutex
 	cache   map[string]edgeEntry
+	// purges counts Invalidate calls per URL, so a fill that was in
+	// flight across one is not cached.
+	purges map[string]uint64
 	// Hits and Misses count cache outcomes (warm-up visibility); read
 	// them only from quiescent code.
 	Hits, Misses int
@@ -113,6 +119,7 @@ func NewEdgeCacheServer(env vclock.Env, host transport.Host, catalog *Catalog, o
 		client:  httplite.NewClient(host),
 		origin:  originAddr,
 		cache:   make(map[string]edgeEntry),
+		purges:  make(map[string]uint64),
 	}
 }
 
@@ -126,17 +133,20 @@ func (s *EdgeCacheServer) Prepopulate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, o := range s.catalog.All() {
-		s.cache[o.URL] = edgeEntry{body: o.Body(), expiry: now.Add(o.TTL), version: o.Version, etag: o.ETag()}
+		v := o.CurrentVersion()
+		s.cache[o.URL] = edgeEntry{body: VersionedBody(o.URL, o.Size, v), expiry: now.Add(o.TTL), version: v, etag: coherence.FormatETag(v)}
 	}
 }
 
-// Invalidate drops the edge's cached copy of url, if any. The coherence
+// Invalidate drops the edge's cached copy of url, if any, and keeps any
+// origin fill of url already in flight from being cached. The coherence
 // hub calls it on purge publication, before relaying to subscribers, so
 // AP revalidations always fetch through to the new origin version.
 func (s *EdgeCacheServer) Invalidate(url string) bool {
 	basic := dnswire.BasicURL(url)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.purges[basic]++
 	if _, ok := s.cache[basic]; !ok {
 		return false
 	}
@@ -184,6 +194,7 @@ func (s *EdgeCacheServer) ServeHTTP(req *httplite.Request) *httplite.Response {
 		return resp
 	}
 	s.Misses++
+	purges := s.purges[obj.URL]
 	s.mu.Unlock()
 	tel.lookup(false)
 	// Fetch through to the origin, passing the trace along so its span
@@ -208,7 +219,9 @@ func (s *EdgeCacheServer) ServeHTTP(req *httplite.Request) *httplite.Response {
 	etag := origin.Get("ETag")
 	version, _ := coherence.ParseETag(etag)
 	s.mu.Lock()
-	s.cache[obj.URL] = edgeEntry{body: origin.Body, expiry: s.env.Now().Add(obj.TTL), version: version, etag: etag}
+	if s.purges[obj.URL] == purges {
+		s.cache[obj.URL] = edgeEntry{body: origin.Body, expiry: s.env.Now().Add(obj.TTL), version: version, etag: etag}
+	}
 	s.mu.Unlock()
 	if inm := req.Get("If-None-Match"); inm != "" && inm == etag {
 		resp := httplite.NewResponse(304, nil)

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"apecache/internal/vclock"
 )
 
 // EventLog is a bounded ring of structured key=value lines recording
@@ -16,10 +14,6 @@ import (
 // metrics — "what happened to this URL" rather than "how many".
 // All methods are safe on a nil receiver and for concurrent use.
 type EventLog struct {
-	// clock stamps Log lines; nil falls back to wall time. Set once at
-	// construction (Telemetry.New wires it) before concurrent use.
-	clock vclock.Clock
-
 	mu    sync.Mutex
 	ring  []string
 	next  int
@@ -37,30 +31,6 @@ func NewEventLog(capacity int) *EventLog {
 		capacity = DefaultEventCapacity
 	}
 	return &EventLog{ring: make([]string, capacity)}
-}
-
-// SetClock routes Log timestamps through c (simnet virtual time in the
-// testbed) instead of the wall clock, so event lines — like spans — are
-// deterministic under simulation. Emit is unaffected: its timestamp
-// always comes from the caller.
-func (l *EventLog) SetClock(c vclock.Clock) {
-	if l != nil {
-		l.clock = c
-	}
-}
-
-// Log emits one line stamped from the log's clock (wall time when no
-// clock is set). Components holding only the EventLog use this instead
-// of reaching for time.Now, which would leak wall time into simnet runs.
-func (l *EventLog) Log(event string, kv ...any) {
-	if l == nil {
-		return
-	}
-	now := time.Now()
-	if l.clock != nil {
-		now = l.clock.Now()
-	}
-	l.Emit(now, event, kv...)
 }
 
 // Emit appends one line "t=<ts> event=<event> k=v ...". kv is

@@ -25,14 +25,12 @@ type Telemetry struct {
 // New builds a telemetry bundle reading timestamps from clock (wall
 // time when clock is nil, e.g. in unit tests or benchmarks).
 func New(clock vclock.Clock) *Telemetry {
-	t := &Telemetry{
+	return &Telemetry{
 		Metrics: NewRegistry(),
 		Tracer:  NewTracer(0),
 		Events:  NewEventLog(0),
 		clock:   clock,
 	}
-	t.Events.SetClock(clock)
-	return t
 }
 
 // Now returns the current time on the bundle's clock. Safe on a nil

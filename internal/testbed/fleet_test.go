@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -16,12 +17,10 @@ import (
 // the /fleet and /events response bodies plus the parsed view.
 func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Duration) (fleetBody, eventsBody string, view wicache.FleetView) {
 	t.Helper()
-	sim := vclock.NewSim(time.Time{})
-	sim.Run("main", func() {
+	err := vclock.Simulate("main", func(sim *vclock.Sim) error {
 		f, err := NewFleet(sim, cfg)
 		if err != nil {
-			t.Errorf("NewFleet: %v", err)
-			return
+			return fmt.Errorf("NewFleet: %w", err)
 		}
 		f.Drive(warm)
 		if brownout > 0 {
@@ -31,27 +30,24 @@ func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Durati
 			f.SetBrownout(target, false)
 			f.Drive(recover)
 		}
-		http := httplite.NewClient(f.Net.Node(fleetClientName(0)))
+		http := httplite.NewClient(f.Net.Node(clusterClientName(0)))
 		ctl := f.Controller.Addr()
 		resp, err := http.Get(ctl, ctl.Host, "/fleet")
 		if err != nil || resp.Status != 200 {
-			t.Errorf("/fleet: %v (resp %+v)", err, resp)
-			return
+			return fmt.Errorf("/fleet: %v (resp %+v)", err, resp)
 		}
 		fleetBody = string(resp.Body)
 		resp, err = http.Get(ctl, ctl.Host, "/events")
 		if err != nil || resp.Status != 200 {
-			t.Errorf("/events: %v", err)
-			return
+			return fmt.Errorf("/events: %v", err)
 		}
 		eventsBody = string(resp.Body)
 		if err := json.Unmarshal([]byte(fleetBody), &view); err != nil {
-			t.Errorf("parse /fleet: %v", err)
+			return fmt.Errorf("parse /fleet: %w", err)
 		}
+		return nil
 	})
-	sim.Shutdown()
-	sim.Wait()
-	if err := sim.Err(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	return fleetBody, eventsBody, view

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"testing"
-	"time"
 
 	"apecache/internal/vclock"
 )
@@ -11,22 +10,20 @@ import (
 // counters.
 func meshRun(t *testing.T, cfg MeshConfig, ticks int) (requests, localHits, peerHits, fallbacks int, peerBytes, backhaul int64) {
 	t.Helper()
-	sim := vclock.NewSim(time.Time{})
-	sim.Run("mesh", func() {
+	err := vclock.Simulate("mesh", func(sim *vclock.Sim) error {
 		m, err := NewMesh(sim, cfg)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		defer m.Stop()
-		m.Drive(ticks)
+		m.DriveTicks(ticks)
+		tot := m.MeshTotals()
 		requests, localHits = m.Requests, m.LocalHits
-		peerHits, fallbacks = m.PeerHits(), m.PeerFallbacks()
-		peerBytes, backhaul = m.PeerBytes(), m.BackhaulBytes()
+		peerHits, fallbacks = tot.PeerHits, tot.PeerFallbacks
+		peerBytes, backhaul = tot.PeerBytes, tot.BackhaulBytes
+		return nil
 	})
-	sim.Shutdown()
-	sim.Wait()
-	if err := sim.Err(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	return

@@ -136,19 +136,13 @@ func stormAPName(c, a int) string { return fmt.Sprintf("c%02da%02d", c, a) }
 // purge set are deterministic for a given config.
 func RunStorm(cfg StormConfig) (*StormResult, error) {
 	cfg.applyDefaults()
-	sim := vclock.NewSim(time.Time{})
 	res := &StormResult{
 		FleetSize: stormControllers * cfg.APsPerController,
 		Objects:   cfg.Objects,
 	}
-	var runErr error
-	sim.Run("fleet-storm", func() { runErr = runStorm(sim, cfg, res) })
-	sim.Shutdown()
-	sim.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := sim.Err(); err != nil {
+	if err := vclock.Simulate("fleet-storm", func(sim *vclock.Sim) error {
+		return runStorm(sim, cfg, res)
+	}); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -87,7 +87,7 @@ func TestVirtualElapsedEqualsMaxSleepProperty(t *testing.T) {
 				max = d
 			}
 		}
-		return s.Elapsed(start) == max
+		return s.Now().Sub(start) == max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

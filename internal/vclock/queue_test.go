@@ -61,7 +61,7 @@ func TestQueuePopWaitTimesOut(t *testing.T) {
 			t.Errorf("PopWait err = %v, want ErrTimeout", err)
 		}
 	})
-	if got := s.Elapsed(start); got != 5*time.Millisecond {
+	if got := s.Now().Sub(start); got != 5*time.Millisecond {
 		t.Fatalf("timeout consumed %v of virtual time, want 5ms", got)
 	}
 }

@@ -193,9 +193,19 @@ func (s *Sim) Err() error {
 	return s.failure
 }
 
-// Elapsed returns the virtual time elapsed since the given start.
-func (s *Sim) Elapsed(since time.Time) time.Duration {
-	return s.Now().Sub(since)
+// Simulate runs fn as the main task of a fresh simulation, then shuts the
+// simulation down and waits for every task to finish. It returns fn's
+// error, or else the simulation's own failure (a deadlock).
+func Simulate(name string, fn func(*Sim) error) error {
+	s := NewSim(time.Time{})
+	var err error
+	s.Run(name, func() { err = fn(s) })
+	s.Shutdown()
+	s.Wait()
+	if err != nil {
+		return err
+	}
+	return s.Err()
 }
 
 // registerCloser records a shutdown hook (used by Queue).

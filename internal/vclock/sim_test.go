@@ -1,6 +1,9 @@
 package vclock
 
 import (
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -11,7 +14,7 @@ func TestSimSleepAdvancesVirtualTime(t *testing.T) {
 	s.Run("main", func() {
 		s.Sleep(90 * time.Minute)
 	})
-	if got := s.Elapsed(start); got != 90*time.Minute {
+	if got := s.Now().Sub(start); got != 90*time.Minute {
 		t.Fatalf("elapsed = %v, want 90m", got)
 	}
 }
@@ -23,7 +26,7 @@ func TestSimZeroAndNegativeSleepReturnImmediately(t *testing.T) {
 		s.Sleep(0)
 		s.Sleep(-time.Second)
 	})
-	if got := s.Elapsed(start); got != 0 {
+	if got := s.Now().Sub(start); got != 0 {
 		t.Fatalf("elapsed = %v, want 0", got)
 	}
 }
@@ -75,7 +78,7 @@ func TestSimParallelSleepsOverlap(t *testing.T) {
 			}
 		}
 	})
-	if got := s.Elapsed(start); got != time.Second {
+	if got := s.Now().Sub(start); got != time.Second {
 		t.Fatalf("10 parallel 1s sleeps took %v of virtual time, want 1s", got)
 	}
 }
@@ -124,6 +127,55 @@ func TestSimDeadlockDetected(t *testing.T) {
 	}
 }
 
+func TestSimulateReturnsTaskError(t *testing.T) {
+	want := errors.New("boom")
+	if err := Simulate("main", func(s *Sim) error {
+		s.Sleep(time.Second)
+		return want
+	}); err != want {
+		t.Fatalf("Simulate = %v, want %v", err, want)
+	}
+}
+
+func TestSimulateReportsDeadlock(t *testing.T) {
+	err := Simulate("main", func(s *Sim) error {
+		_, _ = NewQueue[int](s, "never").Pop() // nothing will ever push
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("Simulate = %v, want deadlock error", err)
+	}
+}
+
+func TestSimulateWaitsForSpawnedTasks(t *testing.T) {
+	var finished atomic.Int32
+	err := Simulate("main", func(s *Sim) error {
+		q := NewQueue[int](s, "inbox")
+		for range 3 {
+			s.Go("server", func() {
+				defer finished.Add(1)
+				for {
+					if _, err := q.Pop(); err != nil {
+						return
+					}
+				}
+			})
+		}
+		s.Go("sleeper", func() {
+			s.Sleep(time.Hour) // cut short by the shutdown
+			finished.Add(1)
+		})
+		q.Push(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := finished.Load(); got != 4 {
+		t.Fatalf("%d of 4 spawned tasks finished before Simulate returned", got)
+	}
+}
+
 func TestSimShutdownUnblocksServers(t *testing.T) {
 	s := NewSim(time.Time{})
 	q := NewQueue[int](s, "inbox")
@@ -169,7 +221,7 @@ func TestSimRunSequentialMains(t *testing.T) {
 	if total != 6 {
 		t.Fatalf("total = %d, want 6", total)
 	}
-	if got := s.Elapsed(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)); got != 3*time.Second {
+	if got := s.Now().Sub(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)); got != 3*time.Second {
 		t.Fatalf("elapsed = %v, want 3s", got)
 	}
 }

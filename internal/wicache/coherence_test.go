@@ -144,7 +144,6 @@ func TestAPServerSweeperEvictsExpired(t *testing.T) {
 		net := simnet.New(sim, 1)
 		ap := NewAPServer(sim, net.Node("ap"), "ap", 1<<20,
 			transport.Addr{Host: "edge", Port: 80}, transport.Addr{Host: "ec2", Port: 7000})
-		ap.SweepInterval = 10 * time.Second
 		if err := ap.Start(0); err != nil {
 			t.Errorf("ap: %v", err)
 			return
@@ -154,7 +153,7 @@ func TestAPServerSweeperEvictsExpired(t *testing.T) {
 			t.Errorf("Put: %v", err)
 			return
 		}
-		sim.Sleep(5 * time.Second)
+		sim.Sleep(55 * time.Second)
 		if ap.Store().Len() != 1 {
 			t.Errorf("swept early: len=%d", ap.Store().Len())
 		}

@@ -430,9 +430,6 @@ type APServer struct {
 	listener   transport.Listener
 	// ProcessingDelay models per-request handling cost.
 	ProcessingDelay time.Duration
-	// SweepInterval overrides the default expired-entry sweep period when
-	// positive.
-	SweepInterval time.Duration
 	// Fills counts fill operations; Purges counts relayed bus purges
 	// applied. Read them only from quiescent code.
 	Fills  int
@@ -497,10 +494,7 @@ func (s *APServer) Stop() {
 // AP's clock (virtual under simulation, so sweeps are deterministic). It
 // exits when the AP stops or when Sleep stops consuming time.
 func (s *APServer) startSweeper() {
-	interval := s.SweepInterval
-	if interval <= 0 {
-		interval = time.Minute
-	}
+	const interval = time.Minute
 	s.env.Go("wicache.sweeper", func() {
 		for {
 			before := s.env.Now()
