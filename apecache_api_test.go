@@ -86,8 +86,8 @@ func TestPublicAPIOverRealSockets(t *testing.T) {
 			t.Fatalf("Get %d: corrupted body", i)
 		}
 	}
-	if ap.Delegations != 1 {
-		t.Errorf("Delegations = %d, want 1 (then cache hits)", ap.Delegations)
+	if ap.Snapshot().Delegations != 1 {
+		t.Errorf("Delegations = %d, want 1 (then cache hits)", ap.Snapshot().Delegations)
 	}
 	if hits := client.Stats().Hits.All.Hits(); hits != 2 {
 		t.Errorf("client hits = %d, want 2", hits)

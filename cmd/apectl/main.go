@@ -36,50 +36,14 @@ import (
 	"time"
 
 	"apecache"
+	"apecache/internal/apcache"
 	"apecache/internal/coherence"
+	"apecache/internal/coopmesh"
 	"apecache/internal/httplite"
+	"apecache/internal/telemetry"
 	"apecache/internal/transport"
+	"apecache/internal/wicache"
 )
-
-// status mirrors apcache.Status for decoding.
-type status struct {
-	CacheUsedBytes int64      `json:"cache_used_bytes"`
-	CacheCapacity  int64      `json:"cache_capacity_bytes"`
-	Entries        int        `json:"entries"`
-	Insertions     int        `json:"insertions"`
-	Updates        int        `json:"updates"`
-	Evictions      int        `json:"evictions"`
-	Expired        int        `json:"expired"`
-	Blocked        int        `json:"blocked"`
-	Delegations    int        `json:"delegations"`
-	Prefetches     int        `json:"prefetches"`
-	Mesh           string     `json:"mesh"`
-	PeerHits       int        `json:"peer_hits"`
-	PeerFallbacks  int        `json:"peer_fallbacks"`
-	PeerBytes      int64      `json:"peer_bytes"`
-	DelegBytes     int64      `json:"delegation_bytes"`
-	DNSHits        int        `json:"dns_cache_hits"`
-	DNSMisses      int        `json:"dns_cache_misses"`
-	Policy         string     `json:"policy"`
-	UptimeSec      int64      `json:"uptime_sec"`
-	Coherence      string     `json:"coherence"`
-	Purges         int        `json:"purges"`
-	Revalidations  int        `json:"revalidations"`
-	StaleServes    int        `json:"stale_serves"`
-	StaleDrops     int        `json:"stale_drops"`
-	Gini           float64    `json:"gini"`
-	PerApp         []appUsage `json:"per_app"`
-}
-
-// appUsage mirrors cachepolicy.AppStorage for decoding.
-type appUsage struct {
-	App        string  `json:"app"`
-	Entries    int     `json:"entries"`
-	Bytes      int64   `json:"bytes"`
-	Rate       float64 `json:"rate"`
-	Efficiency float64 `json:"efficiency"`
-	Utility    float64 `json:"utility"`
-}
 
 func main() {
 	var err error
@@ -117,7 +81,7 @@ func main() {
 func fetch(addrStr, path string) ([]byte, error) {
 	addr, err := transport.ParseAddr(addrStr)
 	if err != nil {
-		return nil, fmt.Errorf("bad -addr: %w", err)
+		return nil, fmt.Errorf("bad address: %w", err)
 	}
 	client := httplite.NewClient(apecache.NewRealHost(""))
 	resp, err := client.Get(addr, addr.Host, path)
@@ -192,16 +156,6 @@ func runMetrics(args []string) error {
 	return nil
 }
 
-// span mirrors telemetry.Span for decoding.
-type span struct {
-	Trace    string        `json:"trace"`
-	Name     string        `json:"name"`
-	Node     string        `json:"node"`
-	Start    time.Time     `json:"start"`
-	Duration time.Duration `json:"dur_ns"`
-	Detail   string        `json:"detail"`
-}
-
 // runTrace lists the traces in a daemon's span ring, or renders the
 // spans of one trace as a timeline.
 func runTrace(args []string) error {
@@ -220,10 +174,7 @@ func runTrace(args []string) error {
 			fmt.Print(string(body))
 			return nil
 		}
-		var traces []struct {
-			Trace string `json:"trace"`
-			Spans int    `json:"spans"`
-		}
+		var traces []telemetry.TraceSummary
 		if err := json.Unmarshal(body, &traces); err != nil {
 			return fmt.Errorf("decode trace index: %w", err)
 		}
@@ -245,7 +196,7 @@ func runTrace(args []string) error {
 		fmt.Print(string(body))
 		return nil
 	}
-	var spans []span
+	var spans []telemetry.Span
 	if err := json.Unmarshal(body, &spans); err != nil {
 		return fmt.Errorf("decode spans: %w", err)
 	}
@@ -255,58 +206,13 @@ func runTrace(args []string) error {
 	}
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
 	base := spans[0].Start
-	fmt.Printf("trace %s — %d spans\n", spans[0].Trace, len(spans))
+	fmt.Printf("trace %s — %d spans\n", spans[0].TraceHex, len(spans))
 	fmt.Printf("%-10s  %-12s  %-14s  %-18s  %s\n", "OFFSET", "DURATION", "SPAN", "NODE", "DETAIL")
 	for _, s := range spans {
 		fmt.Printf("%-10s  %-12s  %-14s  %-18s  %s\n",
 			"+"+s.Start.Sub(base).String(), s.Duration.String(), s.Name, s.Node, s.Detail)
 	}
 	return nil
-}
-
-// fleetView mirrors wicache.FleetView for decoding.
-type fleetView struct {
-	Now time.Time `json:"now"`
-	APs []struct {
-		AP           string             `json:"ap"`
-		Score        float64            `json:"score"`
-		Status       string             `json:"status"`
-		HitRatio     float64            `json:"hit_ratio"`
-		HitRatioLong float64            `json:"hit_ratio_long"`
-		StalePerMin  float64            `json:"stale_serves_per_min"`
-		DelegFail    float64            `json:"deleg_fail_ratio"`
-		SnapshotAge  float64            `json:"snapshot_age_sec"`
-		Seq          uint64             `json:"seq"`
-		Penalties    map[string]float64 `json:"penalties"`
-	} `json:"aps"`
-	Latency []struct {
-		Metric    string  `json:"metric"`
-		Count     uint64  `json:"count"`
-		MeanMs    float64 `json:"mean_ms"`
-		P50Ms     float64 `json:"p50_ms"`
-		P99Ms     float64 `json:"p99_ms"`
-		Exemplars []struct {
-			Trace   string  `json:"trace"`
-			Node    string  `json:"node"`
-			Span    string  `json:"span"`
-			Seconds float64 `json:"seconds"`
-		} `json:"exemplars"`
-	} `json:"latency"`
-	Alerts     []alertStatus `json:"alerts"`
-	MissCauses []struct {
-		Cause  string  `json:"cause"`
-		Misses float64 `json:"misses"`
-	} `json:"miss_causes"`
-}
-
-// alertStatus mirrors wicache.AlertStatus for decoding.
-type alertStatus struct {
-	SLO       string    `json:"slo"`
-	Scope     string    `json:"scope"`
-	State     string    `json:"state"`
-	Since     time.Time `json:"since"`
-	ShortBurn float64   `json:"short_burn"`
-	LongBurn  float64   `json:"long_burn"`
 }
 
 // runFleet fetches the controller's /fleet view and renders per-AP
@@ -328,7 +234,7 @@ func runFleet(args []string) error {
 		fmt.Print(string(body))
 		return nil
 	}
-	var v fleetView
+	var v wicache.FleetView
 	if err := json.Unmarshal(body, &v); err != nil {
 		return fmt.Errorf("decode fleet view: %w", err)
 	}
@@ -344,7 +250,7 @@ func runFleet(args []string) error {
 			"NODE", "SCORE", "STATUS", "HIT%", "STALE/MIN", "DELEGFAIL", "AGE(s)", "SEQ")
 		for _, h := range v.APs {
 			fmt.Printf("%-18s  %5.0f  %-8s  %6.1f  %9.1f  %9.3f  %6.1f  %5d\n",
-				h.AP, h.Score, h.Status, h.HitRatio*100, h.StalePerMin, h.DelegFail, h.SnapshotAge, h.Seq)
+				h.AP, h.Score, h.Status, h.HitRatio*100, h.StaleServesPerMin, h.DelegFailRatio, h.SnapshotAgeSec, h.Seq)
 		}
 	}
 	if len(v.Latency) > 0 {
@@ -389,17 +295,7 @@ func runAlerts(args []string) error {
 		fmt.Print(string(body))
 		return nil
 	}
-	var payload struct {
-		Alerts  []alertStatus `json:"alerts"`
-		History []struct {
-			Time      time.Time `json:"t"`
-			SLO       string    `json:"slo"`
-			Scope     string    `json:"scope"`
-			Event     string    `json:"event"`
-			ShortBurn float64   `json:"short_burn"`
-			LongBurn  float64   `json:"long_burn"`
-		} `json:"history"`
-	}
+	var payload wicache.AlertsPayload
 	if err := json.Unmarshal(body, &payload); err != nil {
 		return fmt.Errorf("decode alerts: %w", err)
 	}
@@ -444,18 +340,7 @@ func runPeers(args []string) error {
 		fmt.Print(string(body))
 		return nil
 	}
-	var peers []struct {
-		Node string `json:"node"`
-		Addr struct {
-			Host string
-			Port uint16
-		} `json:"addr"`
-		Entries    int     `json:"entries"`
-		Domains    int     `json:"domains"`
-		Seq        uint64  `json:"seq"`
-		Generation uint64  `json:"generation"`
-		AgeSec     float64 `json:"age_sec"`
-	}
+	var peers []coopmesh.PeerInfo
 	if err := json.Unmarshal(body, &peers); err != nil {
 		return fmt.Errorf("decode peers: %w", err)
 	}
@@ -467,7 +352,7 @@ func runPeers(args []string) error {
 		"NODE", "ADDR", "ENTRIES", "DOMAINS", "SEQ", "GEN", "AGE(s)")
 	for _, p := range peers {
 		fmt.Printf("%-18s  %-21s  %7d  %7d  %5d  %3d  %7.1f\n",
-			p.Node, fmt.Sprintf("%s:%d", p.Addr.Host, p.Addr.Port),
+			p.Node, p.Addr,
 			p.Entries, p.Domains, p.Seq, p.Generation, p.AgeSec)
 	}
 	return nil
@@ -512,39 +397,6 @@ func runBus(args []string) error {
 	return nil
 }
 
-// explainReport mirrors apcache.ExplainReport for decoding.
-type explainReport struct {
-	URL       string `json:"url"`
-	Flag      string `json:"flag"`
-	Resident  bool   `json:"resident"`
-	Stale     bool   `json:"stale"`
-	Blocked   bool   `json:"blocked"`
-	Negative  bool   `json:"negative"`
-	MissCause string `json:"miss_cause"`
-	Utility   *struct {
-		Rate      float64 `json:"rate"`
-		RemainMin float64 `json:"remain_min"`
-		LatencyMS float64 `json:"latency_ms"`
-		Priority  int     `json:"priority"`
-		Utility   float64 `json:"utility"`
-		Density   float64 `json:"density"`
-	} `json:"utility"`
-	Events []struct {
-		Seq       uint64    `json:"seq"`
-		Time      time.Time `json:"t"`
-		Op        string    `json:"op"`
-		App       string    `json:"app"`
-		Size      int64     `json:"size"`
-		Version   int64     `json:"version"`
-		Gone      bool      `json:"gone"`
-		Utility   float64   `json:"utility"`
-		Density   float64   `json:"density"`
-		RemainMin float64   `json:"remain_min"`
-	} `json:"events"`
-	MissCauses  map[string]uint64 `json:"miss_causes"`
-	TotalMisses uint64            `json:"total_misses"`
-}
-
 // runExplain asks an AP's /explain endpoint why a URL is (or is not)
 // cached: the decision history the ledger retains, the live PACM
 // utility standing when resident, and the AP-wide miss-cause
@@ -568,7 +420,7 @@ func runExplain(args []string) error {
 		fmt.Println(string(body))
 		return nil
 	}
-	var rep explainReport
+	var rep apcache.ExplainReport
 	if err := json.Unmarshal(body, &rep); err != nil {
 		return fmt.Errorf("decode explain report: %w", err)
 	}
@@ -598,7 +450,7 @@ func runExplain(args []string) error {
 		fmt.Printf("\n%-5s  %-24s  %-14s  %8s  %4s  %9s  %7s\n",
 			"SEQ", "TIME", "DECISION", "SIZE", "VER", "UTILITY", "REMAIN")
 		for _, e := range rep.Events {
-			op := e.Op
+			op := string(e.Op)
 			if e.Gone {
 				op += " (gone)"
 			}
@@ -649,26 +501,19 @@ func runPurge(args []string) error {
 	return nil
 }
 
+// runStatus fetches an AP's /status and renders the cache occupancy
+// and runtime counters.
 func runStatus(apAddr string, raw bool) error {
-	addr, err := transport.ParseAddr(apAddr)
-	if err != nil {
-		return fmt.Errorf("bad -ap: %w", err)
-	}
-
-	client := httplite.NewClient(apecache.NewRealHost(""))
-	resp, err := client.Get(addr, addr.Host, "/status")
+	body, err := fetch(apAddr, "/status")
 	if err != nil {
 		return err
 	}
-	if resp.Status != 200 {
-		return fmt.Errorf("status endpoint returned %d", resp.Status)
-	}
 	if raw {
-		fmt.Println(string(resp.Body))
+		fmt.Println(string(body))
 		return nil
 	}
-	var s status
-	if err := json.Unmarshal(resp.Body, &s); err != nil {
+	var s apcache.Status
+	if err := json.Unmarshal(body, &s); err != nil {
 		return fmt.Errorf("decode status: %w", err)
 	}
 
@@ -682,7 +527,7 @@ func runStatus(apAddr string, raw bool) error {
 	fmt.Printf("mgmt:   %d insertions, %d updates, %d evictions, %d expired, %d blocked\n",
 		s.Insertions, s.Updates, s.Evictions, s.Expired, s.Blocked)
 	fmt.Printf("runtime: %d delegations (%d KB), %d prefetches, DNS cache %d hits / %d misses\n",
-		s.Delegations, s.DelegBytes>>10, s.Prefetches, s.DNSHits, s.DNSMisses)
+		s.Delegations, s.DelegationBytes>>10, s.Prefetches, s.DNSHits, s.DNSMisses)
 	fmt.Printf("mesh:   %s — %d peer hits (%d KB), %d fallbacks\n",
 		s.Mesh, s.PeerHits, s.PeerBytes>>10, s.PeerFallbacks)
 	fmt.Printf("coherence: %s — %d purges, %d revalidations, %d stale serves, %d stale drops\n",

@@ -103,7 +103,7 @@ func demo(sim *vclock.Sim) error {
 		sim.Sleep(2 * time.Second) // let the client's flag cache expire
 	}
 	fmt.Printf("AP cache: %d object(s), %d bytes used, %d delegation(s)\n",
-		ap.Store().Len(), ap.Store().Used(), ap.Delegations)
+		ap.Store().Len(), ap.Store().Used(), ap.Snapshot().Delegations)
 	fmt.Printf("lookup latency: %v | retrieval latency: %v\n",
 		client.Stats().Lookup.Mean().Round(10*time.Microsecond),
 		client.Stats().Retrieval.Mean().Round(10*time.Microsecond))

@@ -98,6 +98,6 @@ func run() error {
 			i, len(body), float64(time.Since(start))/float64(time.Millisecond), source)
 	}
 	fmt.Printf("AP cache holds %d object(s), %d delegation(s) performed\n",
-		ap.Store().Len(), ap.Delegations)
+		ap.Store().Len(), ap.Snapshot().Delegations)
 	return nil
 }

@@ -162,28 +162,24 @@ type AP struct {
 	prefTracked map[string]int64
 	prefPending atomic.Int32
 
-	// mu guards the counters and stop flag: DNS and HTTP handlers run on
-	// separate goroutines under the real clock.
+	// delegations counts fetch-through operations; prefetches counts
+	// background warm-ups triggered by X-Ape-Prefetch hints; purges
+	// counts bus messages applied; revalidations background conditional
+	// re-fetches completed. peerHits counts misses served from a mesh
+	// peer; peerFallbacks the lookups whose candidates all failed (Bloom
+	// false positive or eviction race) before falling back to the edge.
+	// peerBytes and delegationBytes total the payload bytes over each
+	// path — their ratio is the mesh's backhaul saving. Snapshot reads
+	// them; newAPTel and newMeshTel attach them (delegationBytes has no
+	// metric family).
+	delegations, delegationBytes, prefetches telemetry.Counter
+	purges, revalidations                    telemetry.Counter
+	peerHits, peerFallbacks, peerBytes       telemetry.Counter
+
+	// mu guards the stop flag and the singleflight guards: DNS and HTTP
+	// handlers run on separate goroutines under the real clock.
 	mu      sync.Mutex
 	stopped bool
-	// Delegations counts fetch-through operations; Prefetches counts
-	// background warm-ups triggered by X-Ape-Prefetch hints. Read them
-	// only from quiescent code (tests, Snapshot).
-	Delegations int
-	Prefetches  int
-	// Purges counts bus messages applied; Revalidations counts background
-	// conditional re-fetches completed. Read from quiescent code only.
-	Purges        int
-	Revalidations int
-	// PeerHits counts misses served from a mesh peer; PeerFallbacks the
-	// lookups whose candidates all failed (Bloom false positive or
-	// eviction race) before falling back to the edge. PeerBytes and
-	// DelegationBytes total the payload bytes over each path — their
-	// ratio is the mesh's backhaul saving. Read from quiescent code only.
-	PeerHits        int
-	PeerFallbacks   int
-	PeerBytes       int64
-	DelegationBytes int64
 	// revalidating and delegating are the singleflight guards: one
 	// background revalidation per URL, one edge fetch per URL across
 	// concurrent delegations. A true revalidating value asks the one in
@@ -229,7 +225,7 @@ func New(cfg Config) *AP {
 	}
 	if !cfg.MeshAddr.IsZero() {
 		ap.mesh = &meshState{peerEWMA: make(map[string]time.Duration)}
-		ap.mtel = newMeshTel(cfg.Telemetry)
+		ap.mtel = newMeshTel(cfg.Telemetry, ap)
 	} else {
 		ap.mtel = &meshTel{} // nil instruments: every Inc is a no-op
 	}
@@ -573,15 +569,12 @@ func (ap *AP) handleDelegate(req *httplite.Request) *httplite.Response {
 		return edgeResp
 	}
 	fetchLatency := ap.cfg.Env.Now().Sub(start)
-	ap.mu.Lock()
-	ap.Delegations++
-	ap.DelegationBytes += int64(len(edgeResp.Body))
-	ap.mu.Unlock()
+	ap.delegations.Inc()
+	ap.delegationBytes.Add(int64(len(edgeResp.Body)))
 	if ap.mesh != nil {
 		ap.observeEdge(fetchLatency)
 	}
 	outcome = "edge"
-	ap.tel.delegations.Inc()
 	ap.tel.delegationSecs.ObserveDuration(fetchLatency)
 	ap.cfg.Telemetry.Emit("delegate", "url", basic, "app", app,
 		"bytes", len(edgeResp.Body), "latency", fetchLatency)

@@ -66,10 +66,7 @@ func (ap *AP) handlePurge(req *httplite.Request) *httplite.Response {
 	keepStale := ap.cfg.Coherence == coherence.ModeSWR
 	bumped := false
 	for _, msg := range msgs {
-		ap.mu.Lock()
-		ap.Purges++
-		ap.mu.Unlock()
-		ap.tel.purges.Inc()
+		ap.purges.Inc()
 		_, stale := ap.store.Purge(msg.URL, msg.Version, msg.Gone, keepStale)
 		if !bumped && ap.mesh != nil && ap.mesh.publisher != nil {
 			// The published summary may still advertise the purged bytes;
@@ -123,10 +120,7 @@ func (ap *AP) revalidateOnce(url string) {
 	req.Set("If-None-Match", coherence.FormatETag(held))
 	start := ap.cfg.Env.Now()
 	resp, err := ap.edge.Do(ap.cfg.EdgeAddr, req)
-	ap.mu.Lock()
-	ap.Revalidations++
-	ap.mu.Unlock()
-	ap.tel.revalidations.Inc()
+	ap.revalidations.Inc()
 	if err != nil {
 		// Network failure degrades to TTL-only: the stale mark stays, the
 		// entry stops being served once its allowance is spent, and the

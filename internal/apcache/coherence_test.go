@@ -14,6 +14,7 @@ import (
 	"apecache/internal/httplite"
 	"apecache/internal/objstore"
 	"apecache/internal/simnet"
+	"apecache/internal/telemetry"
 	"apecache/internal/transport"
 	"apecache/internal/vclock"
 )
@@ -25,6 +26,7 @@ type cohFixture struct {
 	ap      *AP
 	catalog *objstore.Catalog
 	edge    *objstore.EdgeCacheServer
+	edgeTel *telemetry.Telemetry
 	hub     *coherence.Hub
 	obj     *objstore.Object
 	hubAddr transport.Addr
@@ -47,6 +49,8 @@ func newCohFixture(t *testing.T, sim *vclock.Sim, mode coherence.Mode) *cohFixtu
 		t.Fatalf("origin: %v", err)
 	}
 	edge := objstore.NewEdgeCacheServer(sim, net.Node("edge"), catalog, transport.Addr{Host: "origin", Port: 80})
+	edgeTel := telemetry.New(sim)
+	edge.Instrument(edgeTel)
 	edge.Prepopulate()
 	hub := coherence.NewHub(sim, net.Node("edge"), func(m coherence.Msg) { edge.Invalidate(m.URL) })
 	l, err := net.Node("edge").Listen(80)
@@ -72,8 +76,14 @@ func newCohFixture(t *testing.T, sim *vclock.Sim, mode coherence.Mode) *cohFixtu
 	if err := ap.Start(); err != nil {
 		t.Fatalf("ap.Start: %v", err)
 	}
-	return &cohFixture{sim: sim, net: net, ap: ap, catalog: catalog, edge: edge, hub: hub,
-		obj: obj, hubAddr: transport.Addr{Host: "edge", Port: 80}}
+	return &cohFixture{sim: sim, net: net, ap: ap, catalog: catalog, edge: edge, edgeTel: edgeTel,
+		hub: hub, obj: obj, hubAddr: transport.Addr{Host: "edge", Port: 80}}
+}
+
+// edgeLookups reads the edge's cache hits plus misses off its registry.
+func (fx *cohFixture) edgeLookups() float64 {
+	m := fx.edgeTel.Metrics.Expand()
+	return m[`edge_cache_lookups_total{result="hit"}`] + m[`edge_cache_lookups_total{result="miss"}`]
 }
 
 func runCoh(t *testing.T, mode coherence.Mode, fn func(fx *cohFixture)) {
@@ -325,14 +335,12 @@ func TestConcurrentDelegationsCoalesce(t *testing.T) {
 		if done != clients {
 			t.Fatalf("only %d/%d clients served", done, clients)
 		}
-		fx.ap.mu.Lock()
-		delegations := fx.ap.Delegations
-		fx.ap.mu.Unlock()
+		delegations := fx.ap.Snapshot().Delegations
 		if delegations != 1 {
 			t.Errorf("edge fetches = %d, want 1 (singleflight)", delegations)
 		}
-		if fx.edge.Hits+fx.edge.Misses != 1 {
-			t.Errorf("edge saw %d requests, want 1", fx.edge.Hits+fx.edge.Misses)
+		if n := fx.edgeLookups(); n != 1 {
+			t.Errorf("edge saw %v requests, want 1", n)
 		}
 	})
 }

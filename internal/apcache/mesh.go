@@ -41,20 +41,19 @@ type meshState struct {
 // all nil counters, which no-op — and keeps the registered metric
 // families of mesh-off runs byte-identical to the pre-mesh ones.
 type meshTel struct {
-	peerHits   *telemetry.Counter
-	peerBytes  *telemetry.Counter
-	fallbacks  *telemetry.Counter
 	gateSkips  *telemetry.Counter
 	peerServes *telemetry.Counter
 	peerSecs   *telemetry.Histogram
 }
 
-func newMeshTel(tel *telemetry.Telemetry) *meshTel {
+// newMeshTel registers the mesh instruments and attaches the AP's peer
+// counters.
+func newMeshTel(tel *telemetry.Telemetry, ap *AP) *meshTel {
 	m := tel.Metrics
+	m.Attach("apcache_peer_hits_total", "", "misses served by a mesh peer instead of the edge", &ap.peerHits)
+	m.Attach("apcache_peer_bytes_total", "", "bytes fetched from mesh peers", &ap.peerBytes)
+	m.Attach("apcache_peer_fallbacks_total", "", "peer fetches that missed (Bloom false positive or eviction) and fell back to the edge", &ap.peerFallbacks)
 	return &meshTel{
-		peerHits:   m.Counter("apcache_peer_hits_total", "misses served by a mesh peer instead of the edge"),
-		peerBytes:  m.Counter("apcache_peer_bytes_total", "bytes fetched from mesh peers"),
-		fallbacks:  m.Counter("apcache_peer_fallbacks_total", "peer fetches that missed (Bloom false positive or eviction) and fell back to the edge"),
 		gateSkips:  m.Counter("apcache_peer_gate_skips_total", "peer candidates skipped because modeled peer RTT >= edge RTT"),
 		peerServes: m.Counter("apcache_peer_serves_total", "cache serves answering another AP's peer fetch"),
 		peerSecs:   m.Histogram("apcache_peer_fetch_seconds", "peer retrieval latency per mesh fetch (virtual time under simnet)", telemetry.DurationBuckets),
@@ -205,12 +204,8 @@ func (ap *AP) tryPeerFetch(basic, app string, priority int, trace telemetry.Trac
 				Size: int64(len(resp.Body)), Version: version,
 				Expiry: ap.cfg.Env.Now().Add(obj.TTL)})
 		}
-		ap.mu.Lock()
-		ap.PeerHits++
-		ap.PeerBytes += int64(len(resp.Body))
-		ap.mu.Unlock()
-		ap.mtel.peerHits.Inc()
-		ap.mtel.peerBytes.Add(int64(len(resp.Body)))
+		ap.peerHits.Inc()
+		ap.peerBytes.Add(int64(len(resp.Body)))
 		ap.mtel.peerSecs.ObserveDuration(rtt)
 		ap.cfg.Telemetry.Emit("peer-fetch", "url", basic, "peer", c.Node,
 			"bytes", len(resp.Body), "latency", rtt)
@@ -219,10 +214,7 @@ func (ap *AP) tryPeerFetch(basic, app string, priority int, trace telemetry.Trac
 		return out, true
 	}
 	if tried > 0 {
-		ap.mu.Lock()
-		ap.PeerFallbacks++
-		ap.mu.Unlock()
-		ap.mtel.fallbacks.Inc()
+		ap.peerFallbacks.Inc()
 		if ap.ledger != nil {
 			// Every tried peer failed; the delegation falls back to the
 			// edge. Until an edge fill supersedes this record, misses on

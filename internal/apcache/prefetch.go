@@ -90,10 +90,7 @@ func (ap *AP) schedulePrefetch(app string, specs []prefetchSpec) {
 		if ap.store.Flag(spec.url) == dnswire.FlagCacheHit || ap.store.Blocked(spec.url) {
 			continue // already warm or refused
 		}
-		ap.mu.Lock()
-		ap.Prefetches++
-		ap.mu.Unlock()
-		ap.tel.prefetches.Inc()
+		ap.prefetches.Inc()
 		ap.cfg.Env.Go("apcache.prefetch", func() {
 			start := ap.cfg.Env.Now()
 			resp, err := ap.edge.Get(ap.cfg.EdgeAddr, dnswire.URLDomain(spec.url), dnswire.URLPath(spec.url))

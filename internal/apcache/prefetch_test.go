@@ -67,8 +67,8 @@ func TestDelegationWithPrefetchWarmsDependents(t *testing.T) {
 		}
 		// Let the background prefetch land.
 		fx.sim.Sleep(5 * time.Second)
-		if fx.ap.Prefetches != 1 {
-			t.Errorf("Prefetches = %d, want 1", fx.ap.Prefetches)
+		if fx.ap.Snapshot().Prefetches != 1 {
+			t.Errorf("Prefetches = %d, want 1", fx.ap.Snapshot().Prefetches)
 		}
 		// The oversized dependent must have been block-listed, exactly
 		// like a delegated fetch.
@@ -95,8 +95,8 @@ func TestPrefetchSkipsWarmObjects(t *testing.T) {
 			return
 		}
 		sim.Sleep(time.Second)
-		if fx.ap.Prefetches != 0 {
-			t.Errorf("Prefetches = %d, want 0 for warm object", fx.ap.Prefetches)
+		if fx.ap.Snapshot().Prefetches != 0 {
+			t.Errorf("Prefetches = %d, want 0 for warm object", fx.ap.Snapshot().Prefetches)
 		}
 	})
 	sim.Shutdown()

@@ -56,12 +56,6 @@ type Status struct {
 // Snapshot assembles the current status.
 func (ap *AP) Snapshot() Status {
 	stats := ap.store.Stats()
-	ap.mu.Lock()
-	delegations, prefetches := ap.Delegations, ap.Prefetches
-	purges, revalidations := ap.Purges, ap.Revalidations
-	peerHits, peerFallbacks := ap.PeerHits, ap.PeerFallbacks
-	peerBytes, delegationBytes := ap.PeerBytes, ap.DelegationBytes
-	ap.mu.Unlock()
 	mesh := "off"
 	if !ap.cfg.MeshAddr.IsZero() {
 		mesh = ap.cfg.MeshAddr.String()
@@ -76,15 +70,15 @@ func (ap *AP) Snapshot() Status {
 		DecisionLog:     ap.ledger != nil,
 		MissCauses:      missCauses,
 		Coherence:       ap.cfg.Coherence.String(),
-		Purges:          purges,
-		Revalidations:   revalidations,
+		Purges:          int(ap.purges.Value()),
+		Revalidations:   int(ap.revalidations.Value()),
 		StaleServes:     stats.StaleServes,
 		StaleDrops:      stats.StaleDrops,
 		Mesh:            mesh,
-		PeerHits:        peerHits,
-		PeerFallbacks:   peerFallbacks,
-		PeerBytes:       peerBytes,
-		DelegationBytes: delegationBytes,
+		PeerHits:        int(ap.peerHits.Value()),
+		PeerFallbacks:   int(ap.peerFallbacks.Value()),
+		PeerBytes:       ap.peerBytes.Value(),
+		DelegationBytes: ap.delegationBytes.Value(),
 		CacheUsedBytes:  ap.store.Used(),
 		CacheCapacity:   ap.store.Capacity(),
 		Entries:         ap.store.Len(),
@@ -93,8 +87,8 @@ func (ap *AP) Snapshot() Status {
 		Evictions:       stats.Evictions,
 		Expired:         stats.Expired,
 		Blocked:         stats.Blocked,
-		Delegations:     delegations,
-		Prefetches:      prefetches,
+		Delegations:     int(ap.delegations.Value()),
+		Prefetches:      int(ap.prefetches.Value()),
 		DNSHits:         dnsHits,
 		DNSMisses:       dnsMisses,
 		Policy:          ap.cfg.Policy.Name(),

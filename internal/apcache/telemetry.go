@@ -5,7 +5,8 @@ import (
 )
 
 // apTel holds the AP runtime's registered instruments (the store's own
-// live under the same registry via Store.Instrument).
+// live under the same registry via Store.Instrument). The counters the
+// AP keeps itself are attached to the same registry.
 type apTel struct {
 	tel *telemetry.Telemetry
 
@@ -18,39 +19,33 @@ type apTel struct {
 	serveMiss  *telemetry.Counter
 	serveSecs  *telemetry.Histogram
 
-	delegations      *telemetry.Counter
 	delegationErrors *telemetry.Counter
 	delegationSecs   *telemetry.Histogram
 
-	prefetches    *telemetry.Counter
 	prefetchFills *telemetry.Counter
 	prefetchUsed  *telemetry.Counter
 	prefetchWaste *telemetry.Counter
-	purges        *telemetry.Counter
-	revalidations *telemetry.Counter
 }
 
 func newAPTel(tel *telemetry.Telemetry, ap *AP) *apTel {
 	m := tel.Metrics
-	t := &apTel{
-		tel:              tel,
-		dnsPlain:         m.LabeledCounter("apcache_dns_queries_total", telemetry.LabelPair("kind", "plain"), "DNS queries by kind"),
-		dnsCache:         m.LabeledCounter("apcache_dns_queries_total", telemetry.LabelPair("kind", "cache"), "DNS queries by kind"),
-		dummyHits:        m.Counter("apcache_dummy_ip_total", "DNS-Cache answers short-circuited with the dummy IP"),
-		serveHit:         m.LabeledCounter("apcache_cache_serves_total", telemetry.LabelPair("result", "hit"), "AP object serves by result"),
-		serveStale:       m.LabeledCounter("apcache_cache_serves_total", telemetry.LabelPair("result", "stale"), "AP object serves by result"),
-		serveMiss:        m.LabeledCounter("apcache_cache_serves_total", telemetry.LabelPair("result", "miss"), "AP object serves by result"),
-		serveSecs:        m.Histogram("apcache_serve_seconds", "cached serve latency, hit and stale serves (virtual time under simnet)", telemetry.DurationBuckets),
-		delegations:      m.Counter("apcache_delegations_total", "edge fetch-throughs completed"),
-		delegationErrors: m.Counter("apcache_delegation_errors_total", "edge fetch-throughs failed"),
-		delegationSecs:   m.Histogram("apcache_delegation_seconds", "edge retrieval latency per delegation (l_d; virtual time under simnet)", telemetry.DurationBuckets),
-		prefetches:       m.Counter("apcache_prefetches_total", "dependency-driven background warm-ups"),
-		prefetchFills:    m.Counter("apcache_prefetch_fills_total", "prefetched objects admitted to the cache"),
-		prefetchUsed:     m.Counter("apcache_prefetch_used_total", "prefetched objects that later served a cache hit"),
-		prefetchWaste:    m.Counter("apcache_prefetch_wasted_bytes_total", "bytes prefetched but evicted or expired before serving a hit"),
-		purges:           m.Counter("apcache_purges_total", "coherence bus purge messages applied"),
-		revalidations:    m.Counter("apcache_revalidations_total", "background conditional re-fetches completed"),
-	}
+	t := &apTel{tel: tel}
+	t.dnsPlain = m.LabeledCounter("apcache_dns_queries_total", telemetry.LabelPair("kind", "plain"), "DNS queries by kind")
+	t.dnsCache = m.LabeledCounter("apcache_dns_queries_total", telemetry.LabelPair("kind", "cache"), "DNS queries by kind")
+	t.dummyHits = m.Counter("apcache_dummy_ip_total", "DNS-Cache answers short-circuited with the dummy IP")
+	t.serveHit = m.LabeledCounter("apcache_cache_serves_total", telemetry.LabelPair("result", "hit"), "AP object serves by result")
+	t.serveStale = m.LabeledCounter("apcache_cache_serves_total", telemetry.LabelPair("result", "stale"), "AP object serves by result")
+	t.serveMiss = m.LabeledCounter("apcache_cache_serves_total", telemetry.LabelPair("result", "miss"), "AP object serves by result")
+	t.serveSecs = m.Histogram("apcache_serve_seconds", "cached serve latency, hit and stale serves (virtual time under simnet)", telemetry.DurationBuckets)
+	m.Attach("apcache_delegations_total", "", "edge fetch-throughs completed", &ap.delegations)
+	t.delegationErrors = m.Counter("apcache_delegation_errors_total", "edge fetch-throughs failed")
+	t.delegationSecs = m.Histogram("apcache_delegation_seconds", "edge retrieval latency per delegation (l_d; virtual time under simnet)", telemetry.DurationBuckets)
+	m.Attach("apcache_prefetches_total", "", "dependency-driven background warm-ups", &ap.prefetches)
+	t.prefetchFills = m.Counter("apcache_prefetch_fills_total", "prefetched objects admitted to the cache")
+	t.prefetchUsed = m.Counter("apcache_prefetch_used_total", "prefetched objects that later served a cache hit")
+	t.prefetchWaste = m.Counter("apcache_prefetch_wasted_bytes_total", "bytes prefetched but evicted or expired before serving a hit")
+	m.Attach("apcache_purges_total", "", "coherence bus purge messages applied", &ap.purges)
+	m.Attach("apcache_revalidations_total", "", "background conditional re-fetches completed", &ap.revalidations)
 	m.GaugeFunc("apcache_dns_forwarder_hits", "forwarder DNS cache hits", func() float64 {
 		h, _ := ap.fwd.CacheStats()
 		return float64(h)

@@ -55,9 +55,6 @@ type Stats struct {
 	// hits, the paper's Fig 11c definition ("the period from when a
 	// request for an object is sent to the cache during a hit").
 	Retrieval metrics.LatencyStats
-	// RetrievalAll covers every fetch, including delegations and edge
-	// fallbacks.
-	RetrievalAll metrics.LatencyStats
 	// Hits tracks AP cache hits by priority class (Tables IV–VI).
 	Hits metrics.HitStats
 	// StaleAccepts counts requests answered from a purged AP entry under
@@ -185,12 +182,11 @@ func (c *Client) Get(rawURL string) ([]byte, error) {
 		return nil, err
 	}
 	elapsed := c.cfg.Env.Now().Sub(retrievalStart)
-	c.mu.Lock()
-	c.stats.RetrievalAll.Add(elapsed)
 	if flag == dnswire.FlagCacheHit {
+		c.mu.Lock()
 		c.stats.Retrieval.Add(elapsed)
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 	c.tel.retrieval(elapsed)
 	return body, nil
 }

@@ -12,6 +12,7 @@ import (
 	"apecache/internal/dnswire"
 	"apecache/internal/objstore"
 	"apecache/internal/simnet"
+	"apecache/internal/telemetry"
 	"apecache/internal/transport"
 	"apecache/internal/vclock"
 )
@@ -25,6 +26,7 @@ type fixture struct {
 	net     *simnet.Network
 	ap      *apcache.AP
 	edge    *objstore.EdgeCacheServer
+	edgeTel *telemetry.Telemetry
 	origin  *objstore.OriginServer
 	book    *dnsd.AddrBook
 	catalog *objstore.Catalog
@@ -69,6 +71,8 @@ func newFixture(t *testing.T, sim *vclock.Sim, catalog *objstore.Catalog, policy
 		t.Fatalf("origin: %v", err)
 	}
 	edge := objstore.NewEdgeCacheServer(sim, net.Node("edge"), catalog, transport.Addr{Host: "origin", Port: 80})
+	edgeTel := telemetry.New(sim)
+	edge.Instrument(edgeTel)
 	if _, err := edge.Run(net.Node("edge"), 80); err != nil {
 		t.Fatalf("edge: %v", err)
 	}
@@ -86,7 +90,13 @@ func newFixture(t *testing.T, sim *vclock.Sim, catalog *objstore.Catalog, policy
 		t.Fatalf("ap.Start: %v", err)
 	}
 
-	return &fixture{sim: sim, net: net, ap: ap, edge: edge, origin: origin, book: book, catalog: catalog}
+	return &fixture{sim: sim, net: net, ap: ap, edge: edge, edgeTel: edgeTel, origin: origin, book: book, catalog: catalog}
+}
+
+// edgeLookups reads the edge's cache hits plus misses off its registry.
+func (fx *fixture) edgeLookups() float64 {
+	m := fx.edgeTel.Metrics.Expand()
+	return m[`edge_cache_lookups_total{result="hit"}`] + m[`edge_cache_lookups_total{result="miss"}`]
 }
 
 func (fx *fixture) newClient(reg *Registry) *Client {
@@ -149,14 +159,14 @@ func TestDelegationThenCacheHit(t *testing.T) {
 		if !bytes.Equal(body, obj.Body()) {
 			t.Error("delegated body corrupted")
 		}
-		if fx.ap.Delegations != 1 {
-			t.Errorf("Delegations = %d, want 1", fx.ap.Delegations)
+		if fx.ap.Snapshot().Delegations != 1 {
+			t.Errorf("Delegations = %d, want 1", fx.ap.Snapshot().Delegations)
 		}
 
 		// Second fetch (after flag TTL expires so a fresh lookup runs):
 		// Cache-Hit from the AP, no edge involvement.
 		fx.sim.Sleep(2 * time.Second)
-		edgeHitsBefore := fx.edge.Hits + fx.edge.Misses
+		edgeHitsBefore := fx.edgeLookups()
 		start = fx.sim.Now()
 		body, err = c.Get("http://api.movie.example/id?name=dune")
 		if err != nil {
@@ -167,7 +177,7 @@ func TestDelegationThenCacheHit(t *testing.T) {
 		if !bytes.Equal(body, obj.Body()) {
 			t.Error("cached body corrupted")
 		}
-		if fx.edge.Hits+fx.edge.Misses != edgeHitsBefore {
+		if fx.edgeLookups() != edgeHitsBefore {
 			t.Error("warm fetch touched the edge")
 		}
 		if warm >= cold {
@@ -244,7 +254,7 @@ func TestBlocklistedObjectGoesToEdge(t *testing.T) {
 		// Second fetch: flag is Cache-Miss; the client must go straight
 		// to the edge using the piggybacked resolution.
 		fx.sim.Sleep(2 * time.Second)
-		delegationsBefore := fx.ap.Delegations
+		delegationsBefore := fx.ap.Snapshot().Delegations
 		body, err = c.Get(big.URL)
 		if err != nil {
 			t.Errorf("Get 2: %v", err)
@@ -253,7 +263,7 @@ func TestBlocklistedObjectGoesToEdge(t *testing.T) {
 		if len(body) != big.Size {
 			t.Errorf("second body size = %d", len(body))
 		}
-		if fx.ap.Delegations != delegationsBefore {
+		if fx.ap.Snapshot().Delegations != delegationsBefore {
 			t.Error("Cache-Miss fetch was delegated instead of going to the edge")
 		}
 	})
@@ -277,8 +287,8 @@ func TestTTLExpiryTriggersRedelegation(t *testing.T) {
 			t.Errorf("Get 2: %v", err)
 			return
 		}
-		if fx.ap.Delegations != 2 {
-			t.Errorf("Delegations = %d, want 2 (expired entry re-delegated)", fx.ap.Delegations)
+		if fx.ap.Snapshot().Delegations != 2 {
+			t.Errorf("Delegations = %d, want 2 (expired entry re-delegated)", fx.ap.Snapshot().Delegations)
 		}
 	})
 }
@@ -297,7 +307,7 @@ func TestUnregisteredURLUsesPlainPath(t *testing.T) {
 		if !bytes.Equal(body, obj.Body()) {
 			t.Error("plain body corrupted")
 		}
-		if fx.ap.Delegations != 0 {
+		if fx.ap.Snapshot().Delegations != 0 {
 			t.Error("unregistered URL should never delegate")
 		}
 		if fx.ap.Store().Len() != 0 {

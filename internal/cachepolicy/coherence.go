@@ -55,7 +55,7 @@ func (s *Store) Purge(url string, version int64, gone, keepStale bool) (resident
 		// (the purge lost a race with our own refresh) — no action.
 		return false, false
 	}
-	s.stats.Purged++
+	s.purges++
 	s.tel.purge(url, gone)
 	if s.ledger != nil {
 		// Captured before the entry is marked stale or removed: this is
@@ -91,8 +91,8 @@ func (s *Store) GetStale(url string) (*Entry, bool) {
 	e.StaleServed = true
 	e.LastUsed = now
 	e.Hits++
-	s.stats.StaleServes++
-	s.tel.staleServe(url)
+	s.staleServes.Inc()
+	s.tel.event("stale-serve", url)
 	if s.ledger != nil {
 		s.ledger.Record(s.ledgerEvent(decisionlog.OpStaleServe, e, now))
 	}
@@ -145,7 +145,7 @@ func (s *Store) MarkGone(url string) {
 			s.ledger.Record(ev)
 		}
 		s.removeEntry(url)
-		s.stats.Purged++
+		s.purges++
 		s.tel.purge(url, true)
 		s.tel.evicted(url, "purged")
 	} else if s.ledger != nil {

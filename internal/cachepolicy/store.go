@@ -13,6 +13,7 @@ import (
 	"apecache/internal/decisionlog"
 	"apecache/internal/dnswire"
 	"apecache/internal/objstore"
+	"apecache/internal/telemetry"
 	"apecache/internal/vclock"
 )
 
@@ -147,7 +148,12 @@ type Store struct {
 	byHash        map[uint64]string // DNS-Cache hash -> URL
 	used          int64
 	blocklist     map[string]struct{}
-	stats         StoreStats
+	// The management counters, one per outcome, written under the write
+	// lock: Stats reads them and Instrument attaches them to a registry.
+	insertions, updates, evictions, expired, blocked telemetry.Counter
+	staleServes, staleDrops                          telemetry.Counter
+	// purges counts coherence purges that touched a resident entry.
+	purges int
 	// purged is the coherence high-water mark: the newest version the
 	// origin has announced per URL. Puts of older payloads are dropped so
 	// an in-flight delegation cannot resurrect purged bytes.
@@ -215,7 +221,16 @@ func (s *Store) Policy() Policy { return s.policy }
 func (s *Store) Stats() StoreStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.stats
+	return StoreStats{
+		Insertions:  int(s.insertions.Value()),
+		Updates:     int(s.updates.Value()),
+		Evictions:   int(s.evictions.Value()),
+		Expired:     int(s.expired.Value()),
+		Blocked:     int(s.blocked.Value()),
+		Purged:      s.purges,
+		StaleServes: int(s.staleServes.Value()),
+		StaleDrops:  int(s.staleDrops.Value()),
+	}
 }
 
 // Used returns the bytes currently stored.
@@ -378,8 +393,8 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 	if size > s.maxObjectSize || size > s.capacity {
 		s.blocklist[obj.URL] = struct{}{}
 		s.indexKnown(obj.Hash(), obj.URL)
-		s.stats.Blocked++
-		s.tel.put(obj.URL, "blocked")
+		s.blocked.Inc()
+		s.tel.event("blocked", obj.URL)
 		if s.ledger != nil {
 			s.ledger.Record(decisionlog.Event{Time: now, Op: decisionlog.OpRejectBlocked,
 				URL: obj.URL, App: obj.App, Size: size, Version: obj.Version, Priority: obj.Priority})
@@ -390,8 +405,8 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 		// An in-flight fetch raced a purge: the bytes are already known
 		// stale, so caching them would resurrect exactly what the origin
 		// invalidated.
-		s.stats.StaleDrops++
-		s.tel.put(obj.URL, "stale-drop")
+		s.staleDrops.Inc()
+		s.tel.event("stale-drop", obj.URL)
 		if s.ledger != nil {
 			s.ledger.Record(decisionlog.Event{Time: now, Op: decisionlog.OpRejectStale,
 				URL: obj.URL, App: obj.App, Size: size, Version: obj.Version, Priority: obj.Priority})
@@ -422,8 +437,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 		s.used += size - old.Size()
 		s.setResident(obj.URL, fresh)
 		s.expiries.push(obj.URL, fresh.Expiry)
-		s.stats.Updates++
-		s.tel.put(obj.URL, "update")
+		s.updates.Inc()
 		if s.ledger != nil {
 			s.ledger.Record(s.ledgerEvent(decisionlog.OpUpdate, fresh, now))
 		}
@@ -448,8 +462,7 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 	s.indexKnown(obj.Hash(), obj.URL)
 	s.expiries.push(obj.URL, entry.Expiry)
 	s.used += size
-	s.stats.Insertions++
-	s.tel.put(obj.URL, "insert")
+	s.insertions.Inc()
 	if s.ledger != nil {
 		s.ledger.Record(s.ledgerEvent(decisionlog.OpAdmit, entry, now))
 	}
@@ -523,7 +536,7 @@ func (s *Store) dropExpiredLocked(now time.Time) int {
 			s.ledger.Record(s.ledgerEvent(decisionlog.OpExpire, e, now))
 		}
 		s.removeEntry(top.url)
-		s.stats.Expired++
+		s.expired.Inc()
 		s.tel.evicted(top.url, "expired")
 		dropped++
 	}
@@ -576,7 +589,7 @@ func (s *Store) makeRoom(incoming *Entry) {
 			s.ledger.Record(s.ledgerEvent(op, v, now))
 		}
 		s.removeEntry(v.Object.URL)
-		s.stats.Evictions++
+		s.evictions.Inc()
 		s.tel.evicted(v.Object.URL, "capacity")
 		need -= v.Size()
 	}
@@ -606,7 +619,7 @@ func (s *Store) makeRoom(incoming *Entry) {
 				s.ledger.Record(s.ledgerEvent(decisionlog.OpEvictCapacity, e, now))
 			}
 			s.removeEntry(e.Object.URL)
-			s.stats.Evictions++
+			s.evictions.Inc()
 			s.tel.evicted(e.Object.URL, "capacity")
 		}
 	}

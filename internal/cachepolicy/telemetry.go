@@ -15,42 +15,32 @@ type storeTel struct {
 	hits   *telemetry.Counter
 	misses *telemetry.Counter
 
-	insertions *telemetry.Counter
-	updates    *telemetry.Counter
-	blocked    *telemetry.Counter
-	staleDrops *telemetry.Counter
-
-	evictCapacity *telemetry.Counter
-	evictExpired  *telemetry.Counter
-	evictPurged   *telemetry.Counter
-
-	staleServes *telemetry.Counter
+	evictPurged *telemetry.Counter
 	selection   *telemetry.Histogram
 }
 
 // Instrument registers the store's metrics on tel under the given name
-// prefix (e.g. "apcache" → apcache_store_lookups_total) and turns on
-// eviction/purge event logging. Call once, before serving traffic.
+// prefix (e.g. "apcache" → apcache_store_lookups_total), attaching the
+// store's own management counters, and turns on eviction/purge event
+// logging. Call once, before serving traffic.
 //
 // Hot-path cost is deliberately minimal: Get adds exactly one atomic
 // increment; everything richer (gauges, per-app efficiency, Gini) is
 // computed at exposition time from a snapshot.
 func (s *Store) Instrument(tel *telemetry.Telemetry, prefix string) {
 	m := tel.Metrics
-	t := &storeTel{
-		tel:           tel,
-		hits:          m.LabeledCounter(prefix+"_store_lookups_total", telemetry.LabelPair("result", "hit"), "store Get results"),
-		misses:        m.LabeledCounter(prefix+"_store_lookups_total", telemetry.LabelPair("result", "miss"), "store Get results"),
-		insertions:    m.Counter(prefix+"_store_insertions_total", "objects admitted"),
-		updates:       m.Counter(prefix+"_store_updates_total", "resident objects refreshed"),
-		blocked:       m.Counter(prefix+"_store_blocked_total", "oversized objects block-listed"),
-		staleDrops:    m.Counter(prefix+"_store_stale_drops_total", "puts dropped below the purge high-water mark"),
-		evictCapacity: m.LabeledCounter(prefix+"_store_evictions_total", telemetry.LabelPair("cause", "capacity"), "evictions by cause"),
-		evictExpired:  m.LabeledCounter(prefix+"_store_evictions_total", telemetry.LabelPair("cause", "expired"), "evictions by cause"),
-		evictPurged:   m.LabeledCounter(prefix+"_store_evictions_total", telemetry.LabelPair("cause", "purged"), "evictions by cause"),
-		staleServes:   m.Counter(prefix+"_store_stale_serves_total", "stale-while-revalidate serves"),
-		selection:     m.Histogram(prefix+"_pacm_selection_seconds", "victim-selection wall time per admission", telemetry.ComputeBuckets),
-	}
+	t := &storeTel{tel: tel}
+	t.hits = m.LabeledCounter(prefix+"_store_lookups_total", telemetry.LabelPair("result", "hit"), "store Get results")
+	t.misses = m.LabeledCounter(prefix+"_store_lookups_total", telemetry.LabelPair("result", "miss"), "store Get results")
+	m.Attach(prefix+"_store_insertions_total", "", "objects admitted", &s.insertions)
+	m.Attach(prefix+"_store_updates_total", "", "resident objects refreshed", &s.updates)
+	m.Attach(prefix+"_store_blocked_total", "", "oversized objects block-listed", &s.blocked)
+	m.Attach(prefix+"_store_stale_drops_total", "", "puts dropped below the purge high-water mark", &s.staleDrops)
+	m.Attach(prefix+"_store_evictions_total", telemetry.LabelPair("cause", "capacity"), "evictions by cause", &s.evictions)
+	m.Attach(prefix+"_store_evictions_total", telemetry.LabelPair("cause", "expired"), "evictions by cause", &s.expired)
+	t.evictPurged = m.LabeledCounter(prefix+"_store_evictions_total", telemetry.LabelPair("cause", "purged"), "evictions by cause")
+	m.Attach(prefix+"_store_stale_serves_total", "", "stale-while-revalidate serves", &s.staleServes)
+	t.selection = m.Histogram(prefix+"_pacm_selection_seconds", "victim-selection wall time per admission", telemetry.ComputeBuckets)
 	// Selection time is wall-clock CPU cost, nondeterministic by nature;
 	// keep it off the snapshot wire so fleet runs stay reproducible.
 	m.SetLocal(prefix + "_pacm_selection_seconds")
@@ -98,47 +88,25 @@ func (t *storeTel) lookup(hit bool) {
 	}
 }
 
-// evicted counts one eviction and logs it. cause is "capacity",
-// "expired" or "purged".
+// evicted logs one eviction; cause is "capacity", "expired" or
+// "purged". Purged evictions are counted here: StoreStats.Purged also
+// counts the stale-while-revalidate copies a purge keeps.
 func (t *storeTel) evicted(url, cause string) {
 	if t == nil {
 		return
 	}
-	switch cause {
-	case "capacity":
-		t.evictCapacity.Inc()
-	case "expired":
-		t.evictExpired.Inc()
-	default:
+	if cause == "purged" {
 		t.evictPurged.Inc()
 	}
 	t.tel.Emit("evict", "url", url, "cause", cause)
 }
 
-func (t *storeTel) put(url, outcome string) {
-	if t == nil {
-		return
+// event logs one store event about url ("blocked", "stale-drop",
+// "stale-serve").
+func (t *storeTel) event(name, url string) {
+	if t != nil {
+		t.tel.Emit(name, "url", url)
 	}
-	switch outcome {
-	case "insert":
-		t.insertions.Inc()
-	case "update":
-		t.updates.Inc()
-	case "blocked":
-		t.blocked.Inc()
-		t.tel.Emit("blocked", "url", url)
-	case "stale-drop":
-		t.staleDrops.Inc()
-		t.tel.Emit("stale-drop", "url", url)
-	}
-}
-
-func (t *storeTel) staleServe(url string) {
-	if t == nil {
-		return
-	}
-	t.staleServes.Inc()
-	t.tel.Emit("stale-serve", "url", url)
 }
 
 func (t *storeTel) purge(url string, gone bool) {

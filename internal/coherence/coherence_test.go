@@ -154,8 +154,8 @@ func TestHubFanOut(t *testing.T) {
 				t.Errorf("%s received %+v, want one v2 purge", name, msgs)
 			}
 		}
-		if hub.Published.Load() != 1 || hub.Relayed.Load() != 2 {
-			t.Errorf("hub counters published=%d relayed=%d, want 1/2", hub.Published.Load(), hub.Relayed.Load())
+		if hub.published.Value() != 1 || hub.relayed.Value() != 2 {
+			t.Errorf("hub counters published=%d relayed=%d, want 1/2", hub.published.Value(), hub.relayed.Value())
 		}
 		st := hub.Stats()
 		if st.Published != 1 || st.Relayed != 2 || st.Subscribers != 2 || st.Dispatch != nil {

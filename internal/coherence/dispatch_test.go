@@ -135,8 +135,8 @@ func TestDispatchBatchedEqualsPerMessage(t *testing.T) {
 		if breqs*4 > lreqs {
 			t.Errorf("batch endpoint saw %d wire requests vs %d per-message: expected >= 4x coalescing", breqs, lreqs)
 		}
-		if hub.Published.Load() != purges {
-			t.Errorf("published = %d, want %d", hub.Published.Load(), purges)
+		if hub.published.Value() != purges {
+			t.Errorf("published = %d, want %d", hub.published.Value(), purges)
 		}
 	})
 	sim.Shutdown()
@@ -416,7 +416,7 @@ func TestHubConcurrentSubscribePublishDispatch(t *testing.T) {
 			if d != nil {
 				d.Stop()
 			}
-			if hub.Published.Load() == 0 {
+			if hub.published.Value() == 0 {
 				t.Error("no publications recorded")
 			}
 		})

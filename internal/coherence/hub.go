@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"encoding/json"
-	"sync"
 	"sync/atomic"
 
 	"apecache/internal/httplite"
@@ -30,17 +29,12 @@ type Hub struct {
 	onPurge  func(Msg)
 	dispatch *Dispatcher
 
-	// Published counts accepted purge publications, Relayed the
+	// published counts accepted purge publications, relayed the
 	// per-subscriber deliveries attempted (message granularity, whatever
-	// the wire batching). Atomics: safe to read live, e.g. from the
-	// stats route.
-	Published atomic.Int64
-	Relayed   atomic.Int64
-
-	mu        sync.Mutex // guards the telemetry handles below
-	tel       *telemetry.Telemetry
-	published *telemetry.Counter
-	relayed   *telemetry.Counter
+	// the wire batching).
+	published telemetry.Counter
+	relayed   telemetry.Counter
+	tel       atomic.Pointer[telemetry.Telemetry]
 }
 
 // Instrument registers the bus counters and a subscriber-count gauge,
@@ -53,11 +47,9 @@ func (h *Hub) Instrument(tel *telemetry.Telemetry) {
 	m.GaugeFunc("coherence_subscribers", "downstream caches registered on the bus", func() float64 {
 		return float64(len(h.Subscribers()))
 	})
-	h.mu.Lock()
-	h.tel = tel
-	h.published = m.Counter("coherence_published_total", "purge publications accepted")
-	h.relayed = m.Counter("coherence_relayed_total", "per-subscriber purge deliveries attempted")
-	h.mu.Unlock()
+	h.tel.Store(tel)
+	m.Attach("coherence_published_total", "", "purge publications accepted", &h.published)
+	m.Attach("coherence_relayed_total", "", "per-subscriber purge deliveries attempted", &h.relayed)
 }
 
 // NewHub builds a hub that dials subscribers from host. onPurge may be
@@ -104,8 +96,8 @@ type HubStats struct {
 func (h *Hub) Stats() HubStats {
 	ds := h.dispatch.Stats()
 	st := HubStats{
-		Published:   h.Published.Load(),
-		Relayed:     h.Relayed.Load(),
+		Published:   h.published.Value(),
+		Relayed:     h.relayed.Value(),
 		Subscribers: ds.Subscribers,
 		Evicted:     ds.Evicted,
 	}
@@ -176,13 +168,8 @@ func (h *Hub) handlePublish(req *httplite.Request) *httplite.Response {
 		h.onPurge(msg)
 	}
 	n := h.dispatch.Publish(msg)
-	h.Published.Add(1)
-	h.Relayed.Add(int64(n))
-	h.mu.Lock()
-	tel, published, relayed := h.tel, h.published, h.relayed
-	h.mu.Unlock()
-	published.Inc()
-	relayed.Add(int64(n))
-	tel.Emit("purge", "url", msg.URL, "version", msg.Version, "gone", msg.Gone, "subscribers", n)
+	h.published.Inc()
+	h.relayed.Add(int64(n))
+	h.tel.Load().Emit("purge", "url", msg.URL, "version", msg.Version, "gone", msg.Gone, "subscribers", n)
 	return httplite.NewResponse(200, nil)
 }

@@ -29,19 +29,14 @@ type Directory struct {
 	// the purged bytes, so Lookup skips those peers for the URL.
 	tombs map[string]time.Time
 
-	// Summaries counts accepted publications, Lookups all lookup
-	// requests, LookupHits lookups answering >= 1 candidate, Purges
-	// tombstones recorded. Read them only from quiescent code.
-	Summaries  int
-	Lookups    int
-	LookupHits int
-	Purges     int
-
-	summariesC  *telemetry.Counter
-	staleSeqC   *telemetry.Counter
-	lookupsC    *telemetry.Counter
-	lookupHitsC *telemetry.Counter
-	purgesC     *telemetry.Counter
+	// summaries counts accepted publications, lookups all lookup
+	// requests, lookupHits lookups answering >= 1 candidate, purges
+	// tombstones recorded.
+	summaries  telemetry.Counter
+	lookups    telemetry.Counter
+	lookupHits telemetry.Counter
+	purges     telemetry.Counter
+	staleSeqC  *telemetry.Counter
 }
 
 // peerState is one node's latest summary and when it arrived.
@@ -66,11 +61,11 @@ func (d *Directory) Instrument(tel *telemetry.Telemetry) {
 		return
 	}
 	m := tel.Metrics
-	d.summariesC = m.Counter("coopmesh_summaries_total", "mesh content summaries accepted")
+	m.Attach("coopmesh_summaries_total", "", "mesh content summaries accepted", &d.summaries)
 	d.staleSeqC = m.Counter("coopmesh_summaries_stale_total", "mesh summaries dropped for stale sequence numbers")
-	d.lookupsC = m.Counter("coopmesh_lookups_total", "mesh directory lookups served")
-	d.lookupHitsC = m.Counter("coopmesh_lookup_hits_total", "mesh lookups answered with at least one candidate peer")
-	d.purgesC = m.Counter("coopmesh_purge_tombstones_total", "purge tombstones recorded against published summaries")
+	m.Attach("coopmesh_lookups_total", "", "mesh directory lookups served", &d.lookups)
+	m.Attach("coopmesh_lookup_hits_total", "", "mesh lookups answered with at least one candidate peer", &d.lookupHits)
+	m.Attach("coopmesh_purge_tombstones_total", "", "purge tombstones recorded against published summaries", &d.purges)
 	m.GaugeFunc("coopmesh_peers", "APs with a live published summary", func() float64 {
 		d.mu.Lock()
 		defer d.mu.Unlock()
@@ -108,8 +103,7 @@ func (d *Directory) Ingest(s *Summary) error {
 		return nil // idempotent: re-delivery and reordering are not errors
 	}
 	d.peers[s.Node] = &peerState{sum: s, received: d.env.Now()}
-	d.Summaries++
-	d.summariesC.Inc()
+	d.summaries.Inc()
 	return nil
 }
 
@@ -119,8 +113,7 @@ func (d *Directory) Purge(rawURL string) {
 	basic := dnswire.BasicURL(rawURL)
 	d.mu.Lock()
 	d.tombs[basic] = d.env.Now()
-	d.Purges++
-	d.purgesC.Inc()
+	d.purges.Inc()
 	d.mu.Unlock()
 }
 
@@ -133,8 +126,7 @@ func (d *Directory) Lookup(rawURL, from string) []Candidate {
 	h := dnswire.HashURL(basic)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.Lookups++
-	d.lookupsC.Inc()
+	d.lookups.Inc()
 	now := d.env.Now()
 	tomb, tombed := d.tombs[basic]
 	var out []Candidate
@@ -157,8 +149,7 @@ func (d *Directory) Lookup(rawURL, from string) []Candidate {
 		return out[i].Node < out[j].Node
 	})
 	if len(out) > 0 {
-		d.LookupHits++
-		d.lookupHitsC.Inc()
+		d.lookupHits.Inc()
 	}
 	return out
 }

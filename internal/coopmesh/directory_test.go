@@ -44,8 +44,8 @@ func TestDirectoryIngestDropsStaleSeq(t *testing.T) {
 	if err := d.Ingest(testSummary("ap0", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if d.Summaries != 1 {
-		t.Fatalf("Summaries = %d, want 1", d.Summaries)
+	if d.summaries.Value() != 1 {
+		t.Fatalf("Summaries = %d, want 1", d.summaries.Value())
 	}
 	if got := d.Lookup(u, "other"); len(got) != 1 || got[0].Node != "ap0" {
 		t.Fatalf("lookup after stale-seq replay = %+v, want ap0", got)
@@ -85,8 +85,8 @@ func TestDirectoryLookupExcludesRequesterAndSortsFreshest(t *testing.T) {
 		if got[0].AgeSec >= got[1].AgeSec {
 			t.Errorf("ages not ascending: %+v", got)
 		}
-		if d.Lookups != 2 || d.LookupHits != 2 {
-			t.Errorf("Lookups=%d LookupHits=%d, want 2/2", d.Lookups, d.LookupHits)
+		if d.lookups.Value() != 2 || d.lookupHits.Value() != 2 {
+			t.Errorf("Lookups=%d LookupHits=%d, want 2/2", d.lookups.Value(), d.lookupHits.Value())
 		}
 	})
 	sim.Shutdown()
@@ -130,8 +130,8 @@ func TestDirectoryPurgeTombstone(t *testing.T) {
 		if got := d.Lookup(u, "other"); len(got) != 1 || got[0].Node != "ap0" {
 			t.Errorf("post-republish lookup = %+v, want ap0 again", got)
 		}
-		if d.Purges != 1 {
-			t.Errorf("Purges = %d, want 1", d.Purges)
+		if d.purges.Value() != 1 {
+			t.Errorf("Purges = %d, want 1", d.purges.Value())
 		}
 	})
 	sim.Shutdown()

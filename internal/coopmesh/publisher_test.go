@@ -73,10 +73,10 @@ func TestPublisherLoopDeliversSummaries(t *testing.T) {
 
 		pub.Stop()
 		sim.Sleep(2 * time.Second)
-		after := dir.Summaries
+		after := dir.summaries.Value()
 		sim.Sleep(3 * time.Second)
-		if dir.Summaries != after {
-			t.Errorf("publisher kept publishing after Stop: %d -> %d", after, dir.Summaries)
+		if dir.summaries.Value() != after {
+			t.Errorf("publisher kept publishing after Stop: %d -> %d", after, dir.summaries.Value())
 		}
 		l.Close()
 	})

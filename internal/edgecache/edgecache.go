@@ -36,11 +36,10 @@ type Config struct {
 
 // Stats mirrors the APE-CACHE client measurements for comparison. Every
 // Edge Cache fetch is served by the (ample, prepopulated) edge cache, so
-// Retrieval and RetrievalAll coincide.
+// Retrieval covers every fetch.
 type Stats struct {
-	Lookup       metrics.LatencyStats
-	Retrieval    metrics.LatencyStats
-	RetrievalAll metrics.LatencyStats
+	Lookup    metrics.LatencyStats
+	Retrieval metrics.LatencyStats
 }
 
 // Client performs the two-stage edge caching workflow.
@@ -111,7 +110,6 @@ func (c *Client) Get(rawURL string) ([]byte, error) {
 	}
 	elapsed := c.cfg.Env.Now().Sub(retrievalStart)
 	c.stats.Retrieval.Add(elapsed)
-	c.stats.RetrievalAll.Add(elapsed)
 	c.retrievS.ObserveDuration(elapsed)
 	return resp.Body, nil
 }

@@ -57,6 +57,10 @@ func runFig14(cfg RunConfig) (*Result, error) {
 			}
 			duration := cfg.workloadDuration()
 			// Sampler: every 10 s of virtual time, snapshot utilization.
+			// The main task waits for its last tick: Simulate shuts the
+			// clock down once main returns, and a sampler cut short there
+			// would sleep without advancing time, forever.
+			sampled := vclock.NewQueue[struct{}](sim, "fig14.sampled")
 			sim.Go("fig14.sampler", func() {
 				deadline := sim.Now().Add(duration)
 				for sim.Now().Before(deadline) {
@@ -66,6 +70,7 @@ func runFig14(cfg RunConfig) (*Result, error) {
 					}
 					router.Sample()
 				}
+				sampled.Push(struct{}{})
 			})
 			fetcherFor := func(app *appmodel.App) appmodel.Fetcher {
 				return &forwardingFetcher{inner: tb.FetcherFor(app), router: router}
@@ -74,7 +79,8 @@ func runFig14(cfg RunConfig) (*Result, error) {
 			if res.Failures > 0 {
 				return fmt.Errorf("%d failed executions", res.Failures)
 			}
-			return nil
+			_, err = sampled.Pop()
+			return err
 		})
 		if err != nil {
 			return sample{}, fmt.Errorf("fig14 %v: %w", system, err)

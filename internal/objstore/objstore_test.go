@@ -141,8 +141,8 @@ func TestEdgeFetchThroughAndCache(t *testing.T) {
 		if warm >= cold-50*time.Millisecond {
 			t.Errorf("warm=%v cold=%v: edge cache not effective", warm, cold)
 		}
-		if edge.Hits != 1 || edge.Misses != 1 || origin.Requests != 1 {
-			t.Errorf("hits=%d misses=%d origin=%d", edge.Hits, edge.Misses, origin.Requests)
+		if edge.hits.Value() != 1 || edge.misses.Value() != 1 || origin.requests.Value() != 1 {
+			t.Errorf("hits=%d misses=%d origin=%d", edge.hits.Value(), edge.misses.Value(), origin.requests.Value())
 		}
 	})
 }
@@ -163,8 +163,8 @@ func TestEdgeRespectsTTLExpiry(t *testing.T) {
 			t.Errorf("get2: %v", err)
 			return
 		}
-		if origin.Requests != 2 {
-			t.Errorf("origin requests = %d, want 2 (expired entry refetched)", origin.Requests)
+		if origin.requests.Value() != 2 {
+			t.Errorf("origin requests = %d, want 2 (expired entry refetched)", origin.requests.Value())
 		}
 	})
 }
@@ -180,8 +180,8 @@ func TestEdgePrepopulateServesWithoutOrigin(t *testing.T) {
 			t.Errorf("get: %v %v", resp, err)
 			return
 		}
-		if origin.Requests != 0 {
-			t.Errorf("origin touched %d times after prepopulate", origin.Requests)
+		if origin.requests.Value() != 0 {
+			t.Errorf("origin touched %d times after prepopulate", origin.requests.Value())
 		}
 	})
 }
@@ -281,7 +281,7 @@ func TestEdgeDropsFillRacingInvalidate(t *testing.T) {
 		})
 		// Once the origin has taken the request it produces v0, and the
 		// fill is in flight until the response reaches the edge.
-		for origin.Requests == 0 {
+		for origin.requests.Value() == 0 {
 			sim.Sleep(time.Millisecond)
 		}
 		catalog.Mutate(o.URL)
@@ -294,8 +294,8 @@ func TestEdgeDropsFillRacingInvalidate(t *testing.T) {
 		if err != nil || resp.Get("ETag") != coherence.FormatETag(1) || !bytes.Equal(resp.Body, o.Body()) {
 			t.Errorf("after racing fill: ETag %q (%v), want v1 fetched from the origin", resp.Get("ETag"), err)
 		}
-		if origin.Requests != 2 {
-			t.Errorf("origin requests = %d, want 2", origin.Requests)
+		if origin.requests.Value() != 2 {
+			t.Errorf("origin requests = %d, want 2", origin.requests.Value())
 		}
 	})
 }

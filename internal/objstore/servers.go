@@ -3,6 +3,7 @@ package objstore
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"apecache/internal/coherence"
@@ -18,13 +19,9 @@ import (
 type OriginServer struct {
 	env     vclock.Env
 	catalog *Catalog
-	mu      sync.Mutex
-	// Requests counts objects served (for server-load assertions); read
-	// it only from quiescent code.
-	Requests int
-
-	tel      *telemetry.Telemetry
-	requests *telemetry.Counter
+	// requests counts objects served (server load).
+	requests telemetry.Counter
+	tel      atomic.Pointer[telemetry.Telemetry]
 }
 
 // NewOriginServer builds the origin handler.
@@ -42,12 +39,9 @@ func (s *OriginServer) ServeHTTP(req *httplite.Request) *httplite.Response {
 	if !ok {
 		return httplite.NewResponse(404, []byte("unknown object"))
 	}
-	s.mu.Lock()
-	s.Requests++
-	tel, requests := s.tel, s.requests
-	s.mu.Unlock()
-	requests.Inc()
+	s.requests.Inc()
 	if trace, ok := telemetry.ParseTraceID(req.Get(telemetry.TraceHeader)); ok {
+		tel := s.tel.Load()
 		start := s.env.Now()
 		defer func() {
 			tel.Span(trace, "origin-serve", "origin:"+req.Host,
@@ -103,11 +97,10 @@ type EdgeCacheServer struct {
 	// purges counts Invalidate calls per URL, so a fill that was in
 	// flight across one is not cached.
 	purges map[string]uint64
-	// Hits and Misses count cache outcomes (warm-up visibility); read
-	// them only from quiescent code.
-	Hits, Misses int
+	// hits and misses count cache outcomes.
+	hits, misses telemetry.Counter
 
-	tel *edgeTel
+	tel atomic.Pointer[edgeTel]
 }
 
 // NewEdgeCacheServer builds an edge cache that fills from the origin at
@@ -165,9 +158,7 @@ func (s *EdgeCacheServer) ServeHTTP(req *httplite.Request) *httplite.Response {
 		return httplite.NewResponse(404, []byte("unknown object"))
 	}
 	trace, _ := telemetry.ParseTraceID(req.Get(telemetry.TraceHeader))
-	s.mu.Lock()
-	tel := s.tel
-	s.mu.Unlock()
+	tel := s.tel.Load()
 	result := "miss"
 	if trace != 0 && tel != nil {
 		start := s.env.Now()
@@ -178,10 +169,9 @@ func (s *EdgeCacheServer) ServeHTTP(req *httplite.Request) *httplite.Response {
 	}
 	s.mu.Lock()
 	if e, ok := s.cache[obj.URL]; ok && s.env.Now().Before(e.expiry) {
-		s.Hits++
 		s.mu.Unlock()
+		s.hits.Inc()
 		result = "hit"
-		tel.lookup(true)
 		if inm := req.Get("If-None-Match"); inm != "" && inm == e.etag {
 			resp := httplite.NewResponse(304, nil)
 			resp.Set("ETag", e.etag)
@@ -193,10 +183,9 @@ func (s *EdgeCacheServer) ServeHTTP(req *httplite.Request) *httplite.Response {
 		resp.Set("X-Ape-Source", "edge")
 		return resp
 	}
-	s.Misses++
 	purges := s.purges[obj.URL]
 	s.mu.Unlock()
-	tel.lookup(false)
+	s.misses.Inc()
 	// Fetch through to the origin, passing the trace along so its span
 	// nests under this edge-fetch.
 	originReq := httplite.NewRequest("GET", obj.Domain(), obj.Path())

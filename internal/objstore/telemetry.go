@@ -11,20 +11,8 @@ import (
 // edgeTel holds the edge server's registered instruments; nil (server
 // not instrumented) makes every hook a no-op.
 type edgeTel struct {
-	tel          *telemetry.Telemetry
-	hits, misses *telemetry.Counter
-	originFills  *telemetry.Counter
-}
-
-func (t *edgeTel) lookup(hit bool) {
-	if t == nil {
-		return
-	}
-	if hit {
-		t.hits.Inc()
-	} else {
-		t.misses.Inc()
-	}
+	tel         *telemetry.Telemetry
+	originFills *telemetry.Counter
 }
 
 func (t *edgeTel) fill() {
@@ -40,20 +28,15 @@ func (s *EdgeCacheServer) Instrument(tel *telemetry.Telemetry) {
 		return
 	}
 	m := tel.Metrics
-	et := &edgeTel{
-		tel:         tel,
-		hits:        m.LabeledCounter("edge_cache_lookups_total", telemetry.LabelPair("result", "hit"), "edge cache lookups by result"),
-		misses:      m.LabeledCounter("edge_cache_lookups_total", telemetry.LabelPair("result", "miss"), "edge cache lookups by result"),
-		originFills: m.Counter("edge_origin_fills_total", "fetch-throughs to the origin"),
-	}
+	m.Attach("edge_cache_lookups_total", telemetry.LabelPair("result", "hit"), "edge cache lookups by result", &s.hits)
+	m.Attach("edge_cache_lookups_total", telemetry.LabelPair("result", "miss"), "edge cache lookups by result", &s.misses)
+	et := &edgeTel{tel: tel, originFills: m.Counter("edge_origin_fills_total", "fetch-throughs to the origin")}
 	m.GaugeFunc("edge_cache_entries", "objects resident on the edge", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return float64(len(s.cache))
 	})
-	s.mu.Lock()
-	s.tel = et
-	s.mu.Unlock()
+	s.tel.Store(et)
 }
 
 // Instrument registers the origin's request counter and enables span
@@ -62,10 +45,8 @@ func (s *OriginServer) Instrument(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
 	}
-	s.mu.Lock()
-	s.tel = tel
-	s.requests = tel.Metrics.Counter("origin_requests_total", "objects served by the origin")
-	s.mu.Unlock()
+	s.tel.Store(tel)
+	tel.Metrics.Attach("origin_requests_total", "", "objects served by the origin", &s.requests)
 }
 
 // PushSnapshots starts periodic telemetry snapshot pushes to the fleet
@@ -73,9 +54,7 @@ func (s *OriginServer) Instrument(tel *telemetry.Telemetry) {
 // the fleet view and its spans join stitched cross-tier traces. Call
 // after Instrument; Stop the returned pusher to halt.
 func (s *EdgeCacheServer) PushSnapshots(host transport.Host, target transport.Addr, interval time.Duration) (*telemetry.Pusher, error) {
-	s.mu.Lock()
-	et := s.tel
-	s.mu.Unlock()
+	et := s.tel.Load()
 	if et == nil {
 		return nil, fmt.Errorf("objstore: edge server not instrumented")
 	}
@@ -92,9 +71,7 @@ func (s *EdgeCacheServer) PushSnapshots(host transport.Host, target transport.Ad
 
 // PushSnapshots is the origin-tier counterpart of the edge hook.
 func (s *OriginServer) PushSnapshots(host transport.Host, target transport.Addr, interval time.Duration) (*telemetry.Pusher, error) {
-	s.mu.Lock()
-	tel := s.tel
-	s.mu.Unlock()
+	tel := s.tel.Load()
 	if tel == nil {
 		return nil, fmt.Errorf("objstore: origin server not instrumented")
 	}

@@ -45,10 +45,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-func (c *Counter) collect(dst []Sample, labels string) []Sample {
-	return append(dst, Sample{Labels: labels, Value: float64(c.v.Load())})
-}
-
 // Gauge is a settable float metric stored as atomic float64 bits. Safe
 // on a nil receiver.
 type Gauge struct {

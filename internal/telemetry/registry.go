@@ -48,18 +48,31 @@ type CollectFunc func(dst []Sample) []Sample
 
 // instrument is one registered member of a family.
 type instrument struct {
-	labels  string
-	key     string // fully qualified sample key, cached for snapshot pushes
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      CollectFunc
+	labels string
+	key    string // fully qualified sample key, cached for snapshot pushes
+	// counters are summed into the sample: the one LabeledCounter
+	// created (own) and any a component attached (Attach), so components
+	// sharing a family in one registry report their total.
+	counters []*Counter
+	own      *Counter
+	gauge    *Gauge
+	hist     *Histogram
+	fn       CollectFunc
+}
+
+// sum totals the instrument's counters.
+func (in *instrument) sum() int64 {
+	var n int64
+	for _, c := range in.counters {
+		n += c.Value()
+	}
+	return n
 }
 
 func (in *instrument) collect(dst []Sample) []Sample {
 	switch {
-	case in.counter != nil:
-		return in.counter.collect(dst, in.labels)
+	case in.counters != nil:
+		return append(dst, Sample{Labels: in.labels, Value: float64(in.sum())})
 	case in.gauge != nil:
 		return in.gauge.collect(dst, in.labels)
 	case in.hist != nil:
@@ -157,12 +170,36 @@ func (r *Registry) Counter(name, help string) *Counter {
 func (r *Registry) LabeledCounter(name, labels, help string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, KindCounter)
-	in := f.add(labels, &instrument{counter: &Counter{}})
-	if in.counter == nil {
+	in := r.counterLocked(name, labels, help)
+	if in.own == nil {
+		in.own = &Counter{}
+		in.counters = append(in.counters, in.own)
+	}
+	return in.own
+}
+
+// Attach registers c, a counter its component owns and keeps counting
+// whether or not it is attached, as the name{labels} sample. A sample
+// that several components attach to reports their sum; attaching the
+// same counter twice counts it once.
+func (r *Registry) Attach(name, labels, help string, c *Counter) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	in := r.counterLocked(name, labels, help)
+	for _, have := range in.counters {
+		if have == c {
+			return
+		}
+	}
+	in.counters = append(in.counters, c)
+}
+
+func (r *Registry) counterLocked(name, labels, help string) *instrument {
+	in := r.familyLocked(name, help, KindCounter).add(labels, &instrument{})
+	if in.fn != nil {
 		panic("telemetry: " + name + " is not a counter")
 	}
-	return in.counter
+	return in
 }
 
 // Gauge registers (or returns) an unlabeled gauge.

@@ -197,3 +197,43 @@ func TestExpand(t *testing.T) {
 		t.Error("formatValue(0.25)")
 	}
 }
+
+// TestAttachSumsOwnedCounters checks the attach entry point: a counter
+// counts before it is attached, two components attaching to one sample
+// report their sum (with any counter LabeledCounter made for it),
+// attaching the same counter twice counts it once, and snapshots agree
+// with the exposition.
+func TestAttachSumsOwnedCounters(t *testing.T) {
+	r := NewRegistry()
+	var a, b Counter
+	a.Add(2)
+	r.Attach("purges_total", "", "purges applied", &a)
+	r.Attach("purges_total", "", "purges applied", &a)
+	r.Attach("purges_total", "", "purges applied", &b)
+	b.Inc()
+	r.Counter("purges_total", "purges applied").Add(4)
+	r.Attach("lookups_total", LabelPair("result", "hit"), "lookups", &b)
+
+	m := r.Expand()
+	if m["purges_total"] != 7 {
+		t.Errorf("purges_total = %v, want 7 (2 + 1 + 4)", m["purges_total"])
+	}
+	if m[`lookups_total{result="hit"}`] != 1 {
+		t.Errorf("lookups_total = %v, want 1", m[`lookups_total{result="hit"}`])
+	}
+	if a.Value() != 2 || b.Value() != 1 {
+		t.Errorf("owned counters changed: a=%d b=%d", a.Value(), b.Value())
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "# HELP purges_total purges applied\n# TYPE purges_total counter\npurges_total 7\n") {
+		t.Errorf("exposition:\n%s", buf.String())
+	}
+	s := &Snapshot{}
+	r.appendSnapshot(s)
+	if s.Counters["purges_total"] != 7 || s.Counters[`lookups_total{result="hit"}`] != 1 {
+		t.Errorf("snapshot counters = %v", s.Counters)
+	}
+}

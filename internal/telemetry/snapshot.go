@@ -221,8 +221,8 @@ func (r *Registry) appendSnapshot(s *Snapshot) {
 	for _, rf := range refs {
 		in := rf.in
 		switch {
-		case in.counter != nil:
-			s.Counters[rf.key] = float64(in.counter.Value())
+		case in.counters != nil:
+			s.Counters[rf.key] = float64(in.sum())
 		case in.gauge != nil:
 			s.Gauges[rf.key] = in.gauge.Value()
 		case in.hist != nil:

@@ -31,10 +31,10 @@ func TestPrefetchImprovesHitRatio(t *testing.T) {
 				t.Errorf("prefetch=%v: %d failures", enable, res.Failures)
 			}
 			ratio = tb.HitStats().All.Ratio()
-			if enable && tb.AP.Prefetches == 0 {
+			if enable && tb.AP.Snapshot().Prefetches == 0 {
 				t.Error("prefetch enabled but no prefetches happened")
 			}
-			if !enable && tb.AP.Prefetches != 0 {
+			if !enable && tb.AP.Snapshot().Prefetches != 0 {
 				t.Error("prefetch disabled but prefetches happened")
 			}
 		})

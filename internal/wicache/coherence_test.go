@@ -104,15 +104,15 @@ func TestControllerPurgeFanOutToFleet(t *testing.T) {
 		}
 		sim.Sleep(time.Second) // hub -> controller -> both APs
 
-		if controller.Purges != 1 || controller.PurgeRelays != 2 {
-			t.Errorf("controller purges=%d relays=%d, want 1/2", controller.Purges, controller.PurgeRelays)
+		if controller.purges.Value() != 1 || controller.relays.Value() != 2 {
+			t.Errorf("controller purges=%d relays=%d, want 1/2", controller.purges.Value(), controller.relays.Value())
 		}
 		if _, ok := controller.locations[obj.URL]; ok {
 			t.Error("location survived the purge")
 		}
 		for name, ap := range aps {
-			if ap.Purges != 1 {
-				t.Errorf("%s purges = %d, want 1", name, ap.Purges)
+			if ap.purges.Value() != 1 {
+				t.Errorf("%s purges = %d, want 1", name, ap.purges.Value())
 			}
 			if _, resident := ap.Store().Get(obj.URL); resident {
 				t.Errorf("%s still serves the purged copy", name)

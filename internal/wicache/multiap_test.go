@@ -77,8 +77,8 @@ func TestMultiAPFillAndCrossAPRetrieval(t *testing.T) {
 			return
 		}
 		sim.Sleep(2 * time.Second)
-		if aps["ap1"].Fills != 1 || aps["ap2"].Fills != 0 {
-			t.Errorf("fills ap1=%d ap2=%d, want 1/0 (home-AP placement)", aps["ap1"].Fills, aps["ap2"].Fills)
+		if aps["ap1"].fills.Value() != 1 || aps["ap2"].fills.Value() != 0 {
+			t.Errorf("fills ap1=%d ap2=%d, want 1/0 (home-AP placement)", aps["ap1"].fills.Value(), aps["ap2"].fills.Value())
 		}
 
 		// Client2 (homed on ap2) now asks: the controller redirects it to
@@ -91,7 +91,7 @@ func TestMultiAPFillAndCrossAPRetrieval(t *testing.T) {
 		if client2.Stats().Hits.All.Hits() != 1 {
 			t.Error("cross-AP fetch not a controller hit")
 		}
-		if aps["ap2"].Fills != 0 {
+		if aps["ap2"].fills.Value() != 0 {
 			t.Error("cross-AP retrieval should not trigger a second fill")
 		}
 	})

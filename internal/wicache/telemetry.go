@@ -4,7 +4,7 @@ import (
 	"apecache/internal/telemetry"
 )
 
-// Instrument registers the controller's counters and attaches the
+// Instrument attaches the controller's counters and the
 // telemetry bundle; call it before Start so the exposition endpoints
 // (/metrics, /debug/vars, /debug/pprof, /trace, /events) are mounted on
 // the controller's mux.
@@ -14,13 +14,13 @@ func (c *Controller) Instrument(tel *telemetry.Telemetry) {
 	}
 	c.tel = tel
 	m := tel.Metrics
-	c.locatesC = m.Counter("wicache_locates_total", "client locate requests handled")
-	c.purgesC = m.Counter("wicache_controller_purges_total", "bus purge messages handled")
-	c.relaysC = m.Counter("wicache_purge_relays_total", "per-AP purge deliveries ordered")
+	m.Attach("wicache_locates_total", "", "client locate requests handled", &c.locates)
+	m.Attach("wicache_controller_purges_total", "", "bus purge messages handled", &c.purges)
+	m.Attach("wicache_purge_relays_total", "", "per-AP purge deliveries ordered", &c.relays)
 	c.fillOrdersC = m.Counter("wicache_fill_orders_total", "background AP fills ordered on locate miss")
 }
 
-// Instrument registers the AP's counters and instruments its LRU store
+// Instrument attaches the AP's counters and instruments its LRU store
 // under the wicache_ap metric prefix.
 func (s *APServer) Instrument(tel *telemetry.Telemetry) {
 	if tel == nil {
@@ -28,6 +28,6 @@ func (s *APServer) Instrument(tel *telemetry.Telemetry) {
 	}
 	s.store.Instrument(tel, "wicache_ap")
 	m := tel.Metrics
-	s.fillsC = m.Counter("wicache_ap_fills_total", "controller-ordered fills stored")
-	s.purgesC = m.Counter("wicache_ap_purges_total", "relayed purges applied")
+	m.Attach("wicache_ap_fills_total", "", "controller-ordered fills stored", &s.fills)
+	m.Attach("wicache_ap_purges_total", "", "relayed purges applied", &s.purges)
 }

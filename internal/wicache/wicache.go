@@ -63,8 +63,8 @@ type Controller struct {
 	// ProcessingDelay models controller handling per request.
 	ProcessingDelay time.Duration
 
-	// mu guards everything below: the handlers run concurrently on real
-	// sockets.
+	// mu guards the location and AP tables: the handlers run
+	// concurrently on real sockets.
 	mu sync.Mutex
 	// locations maps basic URL -> holder AP names, most recent reporter
 	// first: the serve path redirects to the front (the old last-wins
@@ -75,17 +75,13 @@ type Controller struct {
 	apAddrs   map[string]transport.Addr
 	apServe   map[string]transport.Addr
 	firstAP   string
-	// Locates counts lookup requests (observability).
-	Locates int
-	// Purges counts bus messages handled; PurgeRelays the per-AP
-	// deliveries ordered. Read them only from quiescent code.
-	Purges      int
-	PurgeRelays int
 
+	// locates counts lookup requests, purges bus messages handled and
+	// relays the per-AP purge deliveries ordered.
+	locates     telemetry.Counter
+	purges      telemetry.Counter
+	relays      telemetry.Counter
 	tel         *telemetry.Telemetry
-	locatesC    *telemetry.Counter
-	purgesC     *telemetry.Counter
-	relaysC     *telemetry.Counter
 	fillOrdersC *telemetry.Counter
 
 	fleet *FleetStore
@@ -213,15 +209,15 @@ func (c *Controller) handleFleet(req *httplite.Request) *httplite.Response {
 	return resp
 }
 
-// alertsPayload is the /alerts response body.
-type alertsPayload struct {
+// AlertsPayload is the /alerts response body.
+type AlertsPayload struct {
 	Alerts  []AlertStatus `json:"alerts"`
 	History []AlertEvent  `json:"history,omitempty"`
 }
 
 // handleAlerts serves alert statuses plus the transition history.
 func (c *Controller) handleAlerts(req *httplite.Request) *httplite.Response {
-	body, err := json.MarshalIndent(alertsPayload{
+	body, err := json.MarshalIndent(AlertsPayload{
 		Alerts:  c.fleet.Alerts(),
 		History: c.fleet.AlertHistory(),
 	}, "", "  ")
@@ -266,9 +262,8 @@ func (c *Controller) handlePurge(req *httplite.Request) *httplite.Response {
 		return httplite.NewResponse(400, []byte(err.Error()))
 	}
 	for _, msg := range msgs {
-		c.purgesC.Inc()
+		c.purges.Inc()
 		c.mu.Lock()
-		c.Purges++
 		keys := make([]string, 0, len(c.locations[msg.URL]))
 		for _, name := range c.locations[msg.URL] {
 			if addr, ok := c.apAddrs[name]; ok {
@@ -298,10 +293,7 @@ func (c *Controller) handlePurge(req *httplite.Request) *httplite.Response {
 		} else {
 			sent = c.relay.Publish(msg)
 		}
-		c.mu.Lock()
-		c.PurgeRelays += sent
-		c.mu.Unlock()
-		c.relaysC.Add(int64(sent))
+		c.relays.Add(int64(sent))
 	}
 	return httplite.NewResponse(200, nil)
 }
@@ -329,10 +321,9 @@ func (c *Controller) handleLocate(req *httplite.Request) *httplite.Response {
 	if err := json.Unmarshal(req.Body, &lr); err != nil {
 		return httplite.NewResponse(400, []byte("bad locate body"))
 	}
-	c.locatesC.Inc()
+	c.locates.Inc()
 	basic := dnswire.BasicURL(lr.URL)
 	c.mu.Lock()
-	c.Locates++
 	var apName string
 	if names := c.locations[basic]; len(names) > 0 {
 		apName = names[0]
@@ -430,13 +421,10 @@ type APServer struct {
 	listener   transport.Listener
 	// ProcessingDelay models per-request handling cost.
 	ProcessingDelay time.Duration
-	// Fills counts fill operations; Purges counts relayed bus purges
-	// applied. Read them only from quiescent code.
-	Fills  int
-	Purges int
-
-	fillsC  *telemetry.Counter
-	purgesC *telemetry.Counter
+	// fills counts fill operations; purges counts relayed bus purges
+	// applied.
+	fills  telemetry.Counter
+	purges telemetry.Counter
 	// mu guards stopped (the sweeper checks it from its own task).
 	mu      sync.Mutex
 	stopped bool
@@ -519,8 +507,7 @@ func (s *APServer) handlePurge(req *httplite.Request) *httplite.Response {
 		return httplite.NewResponse(400, []byte(err.Error()))
 	}
 	for _, msg := range msgs {
-		s.Purges++
-		s.purgesC.Inc()
+		s.purges.Inc()
 		s.store.Purge(msg.URL, msg.Version, msg.Gone, false)
 	}
 	return httplite.NewResponse(200, nil)
@@ -580,8 +567,7 @@ func (s *APServer) handleFill(req *httplite.Request) *httplite.Response {
 	if err := s.store.Put(obj, edgeResp.Body, 0); err != nil {
 		return httplite.NewResponse(200, nil) // oversized: relayed nothing, not stored
 	}
-	s.Fills++
-	s.fillsC.Inc()
+	s.fills.Inc()
 
 	after := residentURLs(s.store)
 	r := report{AP: s.name, Add: []string{basic}}
@@ -623,12 +609,11 @@ type Client struct {
 }
 
 // Stats mirrors apeclient.Stats for the baseline: Retrieval covers hits
-// (the Fig 11c definition), RetrievalAll every fetch.
+// (the Fig 11c definition).
 type Stats struct {
-	Lookup       metrics.LatencyStats
-	Retrieval    metrics.LatencyStats
-	RetrievalAll metrics.LatencyStats
-	Hits         metrics.HitStats
+	Lookup    metrics.LatencyStats
+	Retrieval metrics.LatencyStats
+	Hits      metrics.HitStats
 }
 
 // NewClient builds a Wi-Cache client.
@@ -713,7 +698,6 @@ func (c *Client) Get(rawURL string) ([]byte, error) {
 		data = edge.Body
 	}
 	elapsed := c.env.Now().Sub(retrievalStart)
-	c.stats.RetrievalAll.Add(elapsed)
 	if servedFromAP {
 		c.stats.Retrieval.Add(elapsed)
 	}

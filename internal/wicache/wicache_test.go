@@ -94,8 +94,8 @@ func TestMissThenFillThenHit(t *testing.T) {
 
 		// Give the fill order time to complete.
 		fx.sim.Sleep(2 * time.Second)
-		if fx.ap.Fills != 1 {
-			t.Errorf("fills = %d, want 1", fx.ap.Fills)
+		if fx.ap.fills.Value() != 1 {
+			t.Errorf("fills = %d, want 1", fx.ap.fills.Value())
 		}
 
 		// Second fetch: controller hit -> AP chunk fetch.
@@ -145,8 +145,8 @@ func TestStaleControllerLocationFallsBackToEdge(t *testing.T) {
 			return
 		}
 		fx.sim.Sleep(2 * time.Second)
-		if fx.ap.Fills != 1 {
-			t.Errorf("fills = %d, want 1", fx.ap.Fills)
+		if fx.ap.fills.Value() != 1 {
+			t.Errorf("fills = %d, want 1", fx.ap.fills.Value())
 			return
 		}
 		v0 := fx.obj.Body()
@@ -164,8 +164,8 @@ func TestStaleControllerLocationFallsBackToEdge(t *testing.T) {
 			return
 		}
 		fx.sim.Sleep(time.Second)
-		if fx.ap.Purges != 1 {
-			t.Errorf("ap purges = %d, want 1", fx.ap.Purges)
+		if fx.ap.purges.Value() != 1 {
+			t.Errorf("ap purges = %d, want 1", fx.ap.purges.Value())
 		}
 		if _, ok := fx.controller.locations[fx.obj.URL]; ok {
 			t.Error("location survived the purge")
@@ -277,7 +277,7 @@ func TestControllerHandlersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if want := workers * rounds / 3; c.Locates < want-workers || c.Purges < want-workers {
-		t.Errorf("locates = %d, purges = %d, want about %d each", c.Locates, c.Purges, want)
+	if want := workers * rounds / 3; int(c.locates.Value()) < want-workers || int(c.purges.Value()) < want-workers {
+		t.Errorf("locates = %d, purges = %d, want about %d each", int(c.locates.Value()), int(c.purges.Value()), want)
 	}
 }
