@@ -176,16 +176,13 @@ type AP struct {
 	purges, revalidations                    telemetry.Counter
 	peerHits, peerFallbacks, peerBytes       telemetry.Counter
 
-	// mu guards the stop flag and the singleflight guards: DNS and HTTP
-	// handlers run on separate goroutines under the real clock.
-	mu      sync.Mutex
-	stopped bool
-	// revalidating and delegating are the singleflight guards: one
-	// background revalidation per URL, one edge fetch per URL across
-	// concurrent delegations. A true revalidating value asks the one in
-	// flight to run once more.
-	revalidating map[string]bool
-	delegating   map[string]bool
+	// tasks owns the AP's background work: the sweeper, revalidations
+	// and prefetches. Stop waits for them.
+	tasks *vclock.Group
+	// refreshes and fetches are the singleflights: one background
+	// revalidation per URL, one edge fetch per URL across concurrent
+	// delegations.
+	refreshes, fetches flights
 }
 
 // New builds an AP runtime; call Start to begin serving.
@@ -207,12 +204,13 @@ func New(cfg Config) *AP {
 	fwd := dnsd.NewForwarder(cfg.Env, cfg.Host, cfg.Rng, cfg.Upstream)
 	fwd.ProcessingDelay = cfg.PlainDNSProcessing
 	ap := &AP{
-		cfg:          cfg,
-		store:        store,
-		fwd:          fwd,
-		edge:         httplite.NewClient(cfg.Host),
-		revalidating: make(map[string]bool),
-		delegating:   make(map[string]bool),
+		cfg:       cfg,
+		store:     store,
+		fwd:       fwd,
+		edge:      httplite.NewClient(cfg.Host),
+		tasks:     vclock.NewGroup(cfg.Env),
+		refreshes: flights{env: cfg.Env},
+		fetches:   flights{env: cfg.Env},
 	}
 	ap.tel = newAPTel(cfg.Telemetry, ap)
 	if cfg.DecisionLog {
@@ -299,17 +297,9 @@ func (ap *AP) Start() error {
 	return nil
 }
 
-// Stop closes the AP's listeners.
+// Stop closes the AP's listeners, stops its pushers and waits for its
+// background tasks. Connection handlers end with their streams.
 func (ap *AP) Stop() {
-	ap.mu.Lock()
-	ap.stopped = true
-	ap.mu.Unlock()
-	if ap.pusher != nil {
-		ap.pusher.Stop()
-	}
-	if ap.mesh != nil && ap.mesh.publisher != nil {
-		ap.mesh.publisher.Stop()
-	}
 	if ap.dnsConn != nil {
 		ap.dnsConn.Close()
 	}
@@ -319,6 +309,13 @@ func (ap *AP) Stop() {
 	if ap.httpList != nil {
 		ap.httpList.Close()
 	}
+	if ap.pusher != nil {
+		ap.pusher.Stop()
+	}
+	if ap.mesh != nil && ap.mesh.publisher != nil {
+		ap.mesh.publisher.Stop()
+	}
+	ap.tasks.Stop()
 }
 
 // DNSAddr returns the DNS endpoint.
@@ -455,7 +452,7 @@ func (ap *AP) handleCacheGet(req *httplite.Request) *httplite.Response {
 				// copy at hit speed and make sure a revalidation is
 				// running (belt and braces — the purge handler already
 				// scheduled one; the singleflight guard dedupes).
-				ap.cfg.Env.Go("apcache.revalidate", func() { ap.revalidate(basic, false) })
+				ap.tasks.Go("apcache.revalidate", func() { ap.revalidate(basic, false) })
 				ap.account(OpCacheServe, len(stale.Data))
 				result = "stale"
 				ap.tel.serveStale.Inc()
@@ -532,15 +529,16 @@ func (ap *AP) handleDelegate(req *httplite.Request) *httplite.Response {
 	}
 
 	// Singleflight: concurrent delegations for the same URL trigger one
-	// edge fetch; followers wait and serve the freshly cached copy.
-	if body, ok := ap.awaitDelegation(basic); ok {
+	// edge fetch; followers wait for it and serve the freshly cached copy.
+	if f, lead := ap.fetches.join(basic, false); lead {
+		defer ap.fetches.land(basic)
+	} else if body, ok := ap.awaitDelegation(f, basic); ok {
 		ap.account(OpCacheServe, len(body))
 		outcome = "follower"
 		resp := httplite.NewResponse(200, body)
 		resp.Set("X-Ape-Source", "ap-cache")
 		return resp
 	}
-	defer ap.releaseDelegation(basic)
 
 	// Cooperative mesh tier: before paying the edge round trip, ask the
 	// mesh directory whether a nearby peer AP already holds the object

@@ -2,12 +2,14 @@ package apcache
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"apecache/internal/coherence"
 	"apecache/internal/dnswire"
 	"apecache/internal/httplite"
 	"apecache/internal/objstore"
+	"apecache/internal/vclock"
 )
 
 // Bus subscription retry schedule: the hub may come up after the AP in a
@@ -17,14 +19,9 @@ const (
 	subscribeBackoff  = 200 * time.Millisecond
 )
 
-// Delegation-coalescing poll parameters. Followers wait for the leader's
-// edge fetch by sleeping — bare channel waits are forbidden under the
-// simulated clock — and give up after delegateWaitRounds to fetch on
-// their own (leader failed or the object was block-listed).
-const (
-	delegatePollInterval = 2 * time.Millisecond
-	delegateWaitRounds   = 500
-)
+// delegateWait bounds how long a delegation follower waits for its
+// leader's edge fetch before fetching on its own.
+const delegateWait = time.Second
 
 // subscribeBus registers the AP's /purge endpoint with the coherence
 // hub, carrying the AP's domain interest and batch capability when the
@@ -76,7 +73,7 @@ func (ap *AP) handlePurge(req *httplite.Request) *httplite.Response {
 		}
 		if stale {
 			url := msg.URL
-			ap.cfg.Env.Go("apcache.revalidate", func() { ap.revalidate(url, true) })
+			ap.tasks.Go("apcache.revalidate", func() { ap.revalidate(url, true) })
 		}
 	}
 	return httplite.NewResponse(200, nil)
@@ -88,21 +85,15 @@ func (ap *AP) handlePurge(req *httplite.Request) *httplite.Response {
 // fetch in flight may return the version this purge just superseded,
 // which the store's version gate then rejects.
 func (ap *AP) revalidate(url string, rerun bool) {
-	ap.mu.Lock()
-	if again, busy := ap.revalidating[url]; busy {
-		ap.revalidating[url] = again || rerun
-		ap.mu.Unlock()
+	if _, lead := ap.refreshes.join(url, rerun); !lead {
 		return
 	}
-	for again := true; again; {
-		ap.revalidating[url] = false
-		ap.mu.Unlock()
+	for {
 		ap.revalidateOnce(url)
-		ap.mu.Lock()
-		again = ap.revalidating[url]
+		if !ap.refreshes.land(url) {
+			return
+		}
 	}
-	delete(ap.revalidating, url)
-	ap.mu.Unlock()
 }
 
 // revalidateOnce is one conditional GET against the edge with the held
@@ -150,41 +141,65 @@ func (ap *AP) revalidateOnce(url string) {
 	}
 }
 
-// awaitDelegation is the follower side of delegation singleflight: if a
-// leader is already fetching url from the edge, wait for it and serve the
-// cached result. Returns ok=false when the caller is the leader (and must
-// call releaseDelegation) — including after a timed-out wait.
-func (ap *AP) awaitDelegation(url string) ([]byte, bool) {
-	ap.mu.Lock()
-	if !ap.delegating[url] {
-		ap.delegating[url] = true
-		ap.mu.Unlock()
-		return nil, false
-	}
-	ap.mu.Unlock()
-	for range delegateWaitRounds {
-		ap.cfg.Env.Sleep(delegatePollInterval)
-		ap.mu.Lock()
-		busy := ap.delegating[url]
-		ap.mu.Unlock()
-		if !busy {
-			break
-		}
-	}
+// awaitDelegation is the follower side of delegation singleflight: it
+// waits for the leader's flight f to land — at most delegateWait — and
+// serves what the leader left in the store. ok=false means the leader
+// failed, or the object is block-listed or gated: the follower then
+// fetches on its own rather than failing the client.
+func (ap *AP) awaitDelegation(f *flight, url string) ([]byte, bool) {
+	f.done.WaitTimeout(delegateWait)
 	if e, ok := ap.store.Get(url); ok {
 		return e.Data, true
 	}
-	// The leader failed, or the object is block-listed/gated: fetch on
-	// our own rather than failing the client.
-	ap.mu.Lock()
-	ap.delegating[url] = true
-	ap.mu.Unlock()
 	return nil, false
 }
 
-// releaseDelegation ends a leader's singleflight claim.
-func (ap *AP) releaseDelegation(url string) {
-	ap.mu.Lock()
-	delete(ap.delegating, url)
-	ap.mu.Unlock()
+// flights is a keyed singleflight: at most one leader per key at a time.
+// Followers wait on the flight's Event, which the leader fires when it
+// lands, instead of polling.
+type flights struct {
+	env vclock.Env
+	mu  sync.Mutex
+	m   map[string]*flight
+}
+
+// flight is one key's call in progress. rerun asks the leader to run
+// once more before it lands.
+type flight struct {
+	done  *vclock.Event
+	rerun bool
+}
+
+// join returns key's flight in progress, marking it for a rerun if asked,
+// or starts one that the caller leads (lead true) and must end with land.
+func (fs *flights) join(key string, rerun bool) (f *flight, lead bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if f := fs.m[key]; f != nil {
+		f.rerun = f.rerun || rerun
+		return f, false
+	}
+	if fs.m == nil {
+		fs.m = make(map[string]*flight)
+	}
+	f = &flight{done: vclock.NewEvent(fs.env, "apcache.flight")}
+	fs.m[key] = f
+	return f, true
+}
+
+// land ends key's flight and wakes its followers, unless a rerun was
+// asked for: then it clears the request, keeps the flight and returns
+// true, and the leader runs again.
+func (fs *flights) land(key string) (again bool) {
+	fs.mu.Lock()
+	f := fs.m[key]
+	if f.rerun {
+		f.rerun = false
+		fs.mu.Unlock()
+		return true
+	}
+	delete(fs.m, key)
+	fs.mu.Unlock()
+	f.done.Fire()
+	return false
 }

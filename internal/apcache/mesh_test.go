@@ -261,8 +261,8 @@ func TestDelegationSingleflightRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, ok := ap.awaitDelegation(target)
-			if !ok {
+			f, lead := ap.fetches.join(target, false)
+			if lead {
 				// Leader: simulate the upstream fetch, then publish.
 				leaders.Add(1)
 				time.Sleep(20 * time.Millisecond)
@@ -271,7 +271,12 @@ func TestDelegationSingleflightRace(t *testing.T) {
 				if err := ap.store.Put(obj, payload, 0); err != nil {
 					t.Errorf("leader put: %v", err)
 				}
-				ap.releaseDelegation(target)
+				ap.fetches.land(target)
+				return
+			}
+			body, ok := ap.awaitDelegation(f, target)
+			if !ok {
+				t.Errorf("follower found no cached copy after the leader landed")
 				return
 			}
 			followers.Add(1)

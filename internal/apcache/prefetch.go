@@ -91,7 +91,7 @@ func (ap *AP) schedulePrefetch(app string, specs []prefetchSpec) {
 			continue // already warm or refused
 		}
 		ap.prefetches.Inc()
-		ap.cfg.Env.Go("apcache.prefetch", func() {
+		ap.tasks.Go("apcache.prefetch", func() {
 			start := ap.cfg.Env.Now()
 			resp, err := ap.edge.Get(ap.cfg.EdgeAddr, dnswire.URLDomain(spec.url), dnswire.URLPath(spec.url))
 			if err != nil || resp.Status != 200 {

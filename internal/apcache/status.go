@@ -114,23 +114,10 @@ func (ap *AP) handleStatus(*httplite.Request) *httplite.Response {
 const DefaultSweepInterval = time.Minute
 
 // startSweeper launches the periodic expiry sweep, driven by the AP's
-// clock (virtual under simulation, so sweep times are deterministic). It
-// exits when the AP stops, or when Sleep stops consuming time (a shut-down
-// virtual clock returns immediately — without this check the loop would
-// spin).
+// clock (virtual under simulation, so sweep times are deterministic).
 func (ap *AP) startSweeper() {
-	ap.cfg.Env.Go("apcache.sweeper", func() {
-		for {
-			before := ap.cfg.Env.Now()
-			ap.cfg.Env.Sleep(DefaultSweepInterval)
-			ap.mu.Lock()
-			stopped := ap.stopped
-			ap.mu.Unlock()
-			if stopped || ap.cfg.Env.Now().Sub(before) < DefaultSweepInterval {
-				return
-			}
-			ap.store.SweepExpired()
-			ap.reapPrefetchWaste()
-		}
+	ap.tasks.Every("apcache.sweeper", DefaultSweepInterval, func() {
+		ap.store.SweepExpired()
+		ap.reapPrefetchWaste()
 	})
 }

@@ -104,16 +104,17 @@ type dispatchSub struct {
 // subscribers whose declared domains share its shard. Delivery is
 // best-effort either way: a lost purge degrades to TTL expiry.
 type Dispatcher struct {
-	env    vclock.Env
 	client *httplite.Client
 
-	mu      sync.Mutex
-	cfg     DispatchConfig // zero until Start
-	shards  *ShardMap
-	subs    map[string]*dispatchSub // keyed by Addr.String()
-	order   []*dispatchSub          // registration order: deterministic delivery order
-	nextW   int
-	stopped bool
+	mu     sync.Mutex
+	cfg    DispatchConfig // zero until Start
+	shards *ShardMap
+	subs   map[string]*dispatchSub // keyed by Addr.String()
+	order  []*dispatchSub          // registration order: deterministic delivery order
+	nextW  int
+
+	// tasks owns the relay tasks and the worker pool; Stop waits for them.
+	tasks *vclock.Group
 
 	batches   atomic.Int64
 	delivered atomic.Int64
@@ -125,18 +126,17 @@ type Dispatcher struct {
 // workers until Start.
 func NewDispatcher(env vclock.Env, client *httplite.Client) *Dispatcher {
 	return &Dispatcher{
-		env:    env,
 		client: client,
 		shards: NewShardMap(1),
 		subs:   make(map[string]*dispatchSub),
+		tasks:  vclock.NewGroup(env),
 	}
 }
 
 // Start switches the dispatcher to sharded, batched delivery: it fills
 // in cfg's defaults, rebuilds the shard map (re-deriving the shard sets
 // of subscribers registered so far) and starts the worker pool. Call it
-// once, before serving traffic, from a sim task when under the virtual
-// clock (workers run on env.Go).
+// once, before serving traffic.
 func (d *Dispatcher) Start(cfg DispatchConfig) {
 	d.mu.Lock()
 	d.cfg = cfg.withDefaults()
@@ -144,10 +144,10 @@ func (d *Dispatcher) Start(cfg DispatchConfig) {
 	for _, s := range d.order {
 		s.shards = d.shardSet(s.sub.Domains)
 	}
+	cfg = d.cfg
 	d.mu.Unlock()
 	for w := 0; w < DefaultWorkers; w++ {
-		w := w
-		d.env.Go("coherence.dispatch", func() { d.runWorker(w) })
+		d.tasks.Every("coherence.dispatch", cfg.FlushInterval, func() { d.drain(w, cfg.MaxBatch) })
 	}
 }
 
@@ -167,12 +167,9 @@ func (d *Dispatcher) Config() DispatchConfig {
 	return d.cfg
 }
 
-// Stop halts the worker pool after the current tick.
-func (d *Dispatcher) Stop() {
-	d.mu.Lock()
-	d.stopped = true
-	d.mu.Unlock()
-}
+// Stop halts the worker pool and waits for it and for every relay task
+// in flight. A stopped dispatcher starts no more relay tasks.
+func (d *Dispatcher) Stop() { d.tasks.Stop() }
 
 // shardSet maps declared domains to their shards; nil (every shard) for
 // no declared interest. Callers hold d.mu.
@@ -264,7 +261,7 @@ func (d *Dispatcher) deliver(targets []*dispatchSub, msg Msg) {
 			s.mu.Lock()
 			sub := s.sub
 			s.mu.Unlock()
-			d.env.Go("coherence.relay", func() { d.post(s, sub, body, 1) })
+			d.tasks.Go("coherence.relay", func() { d.post(s, sub, body, 1) })
 		}
 		return
 	}
@@ -307,29 +304,18 @@ func (d *Dispatcher) Stats() DispatchStats {
 	return st
 }
 
-// runWorker is one drain loop: wake per tick, flush every queue pinned
-// to this worker. It exits when the dispatcher stops or when Sleep stops
-// consuming time (the simulation shut down).
-func (d *Dispatcher) runWorker(w int) {
-	cfg := d.Config()
-	for {
-		before := d.env.Now()
-		d.env.Sleep(cfg.FlushInterval)
-		d.mu.Lock()
-		stopped := d.stopped
-		mine := make([]*dispatchSub, 0, len(d.order))
-		for _, s := range d.order {
-			if s.worker == w {
-				mine = append(mine, s)
-			}
+// drain is one worker's tick: flush every queue pinned to worker w.
+func (d *Dispatcher) drain(w, maxBatch int) {
+	d.mu.Lock()
+	mine := make([]*dispatchSub, 0, len(d.order))
+	for _, s := range d.order {
+		if s.worker == w {
+			mine = append(mine, s)
 		}
-		d.mu.Unlock()
-		if stopped || d.env.Now().Sub(before) < cfg.FlushInterval {
-			return
-		}
-		for _, s := range mine {
-			d.flush(s, cfg.MaxBatch)
-		}
+	}
+	d.mu.Unlock()
+	for _, s := range mine {
+		d.flush(s, maxBatch)
 	}
 }
 

@@ -44,9 +44,9 @@ type Publisher struct {
 
 	pushes   *telemetry.Counter
 	pushErrs *telemetry.Counter
+	tasks    *vclock.Group // the publish loop
 
 	mu       sync.Mutex
-	stopped  bool
 	seq      uint64
 	gen      uint64
 	lastPush time.Time
@@ -61,7 +61,7 @@ func NewPublisher(cfg PublisherConfig) (*Publisher, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultSummaryInterval
 	}
-	p := &Publisher{cfg: cfg, client: httplite.NewClient(cfg.Host)}
+	p := &Publisher{cfg: cfg, client: httplite.NewClient(cfg.Host), tasks: vclock.NewGroup(cfg.Env)}
 	if tel := cfg.Telemetry; tel != nil {
 		p.pushes = tel.Metrics.Counter("coopmesh_summary_pushes_total", "mesh content summaries published")
 		p.pushErrs = tel.Metrics.Counter("coopmesh_summary_push_errors_total", "mesh summary publications failed")
@@ -77,31 +77,15 @@ func NewPublisher(cfg PublisherConfig) (*Publisher, error) {
 	return p, nil
 }
 
-// Start launches the periodic publish loop. It exits when Stop is
-// called, or when Sleep stops consuming time (a shut-down virtual clock
-// returns immediately — without this check the loop would spin).
+// Start launches the periodic publish loop.
 func (p *Publisher) Start() {
-	p.cfg.Env.Go("coopmesh.publisher."+p.cfg.Node, func() {
-		for {
-			before := p.cfg.Env.Now()
-			p.cfg.Env.Sleep(p.cfg.Interval)
-			p.mu.Lock()
-			stopped := p.stopped
-			p.mu.Unlock()
-			if stopped || p.cfg.Env.Now().Sub(before) < p.cfg.Interval {
-				return
-			}
-			p.Publish() //nolint:errcheck // failures are counted in pushErrs
-		}
+	p.tasks.Every("coopmesh.publisher."+p.cfg.Node, p.cfg.Interval, func() {
+		p.Publish() //nolint:errcheck // failures are counted in pushErrs
 	})
 }
 
-// Stop halts the loop after its current sleep.
-func (p *Publisher) Stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-}
+// Stop ends the publish loop and waits for it.
+func (p *Publisher) Stop() { p.tasks.Stop() }
 
 // Bump increments the summary generation. The AP's purge handler calls
 // it so the next published summary is distinguishable from every summary

@@ -99,7 +99,6 @@ func coopRun(cfg RunConfig, size int, meshOn bool, ticks int) (coopRow, error) {
 		if err != nil {
 			return err
 		}
-		defer m.Stop()
 		m.DriveTicks(ticks)
 		totals := m.MeshTotals()
 		row.requests = m.Requests
@@ -113,7 +112,7 @@ func coopRun(cfg RunConfig, size int, meshOn bool, ticks int) (coopRow, error) {
 		} else {
 			row.backhaulOff = totals.BackhaulBytes
 		}
-		return nil
+		return m.Stop()
 	})
 	return row, err
 }

@@ -57,11 +57,12 @@ func runFig14(cfg RunConfig) (*Result, error) {
 			}
 			duration := cfg.workloadDuration()
 			// Sampler: every 10 s of virtual time, snapshot utilization.
-			// The main task waits for its last tick: Simulate shuts the
-			// clock down once main returns, and a sampler cut short there
-			// would sleep without advancing time, forever.
-			sampled := vclock.NewQueue[struct{}](sim, "fig14.sampled")
-			sim.Go("fig14.sampler", func() {
+			// The main task waits for its last tick on every return path:
+			// Simulate shuts the clock down once main returns, and a
+			// sampler cut short there would spin on a Sleep that no longer
+			// advances time.
+			sampler := vclock.NewGroup(sim)
+			sampler.Go("fig14.sampler", func() {
 				deadline := sim.Now().Add(duration)
 				for sim.Now().Before(deadline) {
 					sim.Sleep(10 * time.Second)
@@ -70,8 +71,8 @@ func runFig14(cfg RunConfig) (*Result, error) {
 					}
 					router.Sample()
 				}
-				sampled.Push(struct{}{})
 			})
+			defer sampler.Wait()
 			fetcherFor := func(app *appmodel.App) appmodel.Fetcher {
 				return &forwardingFetcher{inner: tb.FetcherFor(app), router: router}
 			}
@@ -79,8 +80,7 @@ func runFig14(cfg RunConfig) (*Result, error) {
 			if res.Failures > 0 {
 				return fmt.Errorf("%d failed executions", res.Failures)
 			}
-			_, err = sampled.Pop()
-			return err
+			return nil
 		})
 		if err != nil {
 			return sample{}, fmt.Errorf("fig14 %v: %w", system, err)

@@ -48,7 +48,6 @@ func runFleetHealth(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		defer f.Stop()
 
 		sample := func(label string) {
 			v := f.Store.View()
@@ -100,7 +99,7 @@ func runFleetHealth(cfg RunConfig) (*Result, error) {
 			res.Notes = append(res.Notes, fmt.Sprintf("%s %s %s@%s (short burn %.1f, long %.1f)",
 				ev.Time.Format("15:04:05"), ev.Event, ev.SLO, ev.Scope, ev.ShortBurn, ev.LongBurn))
 		}
-		return nil
+		return f.Stop()
 	})
 	if err != nil {
 		return nil, err

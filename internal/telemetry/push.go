@@ -32,7 +32,7 @@ type PushConfig struct {
 }
 
 // Pusher periodically POSTs the bundle's telemetry snapshot to the
-// fleet controller. The loop is driven by env.Sleep, so under simnet
+// fleet controller. The loop runs on the env's clock, so under simnet
 // pushes land at deterministic virtual times; under realnet it is an
 // ordinary background goroutine. Push failures are counted, not fatal —
 // the fleet store tolerates missing snapshots (that is what the
@@ -44,9 +44,10 @@ type Pusher struct {
 	pushes   *Counter
 	pushErrs *Counter
 
-	mu      sync.Mutex
-	stopped bool
-	seq     uint64
+	tasks *vclock.Group // the push loop
+
+	mu  sync.Mutex
+	seq uint64
 }
 
 // NewPusher builds a pusher; call Start to begin the periodic loop, or
@@ -65,36 +66,21 @@ func NewPusher(cfg PushConfig) (*Pusher, error) {
 	return &Pusher{
 		cfg:      cfg,
 		client:   httplite.NewClient(cfg.Host),
+		tasks:    vclock.NewGroup(cfg.Env),
 		pushes:   cfg.Tel.Metrics.Counter("telemetry_snapshot_pushes_total", "fleet snapshots pushed"),
 		pushErrs: cfg.Tel.Metrics.Counter("telemetry_snapshot_push_errors_total", "fleet snapshot pushes failed"),
 	}, nil
 }
 
-// Start launches the periodic push loop. It exits when Stop is called,
-// or when Sleep stops consuming time (a shut-down virtual clock returns
-// immediately — without this check the loop would spin).
+// Start launches the periodic push loop.
 func (p *Pusher) Start() {
-	p.cfg.Env.Go("telemetry.pusher."+p.cfg.Node, func() {
-		for {
-			before := p.cfg.Env.Now()
-			p.cfg.Env.Sleep(p.cfg.Interval)
-			p.mu.Lock()
-			stopped := p.stopped
-			p.mu.Unlock()
-			if stopped || p.cfg.Env.Now().Sub(before) < p.cfg.Interval {
-				return
-			}
-			p.Push() //nolint:errcheck // failures are counted in pushErrs
-		}
+	p.tasks.Every("telemetry.pusher."+p.cfg.Node, p.cfg.Interval, func() {
+		p.Push() //nolint:errcheck // failures are counted in pushErrs
 	})
 }
 
-// Stop halts the loop after its current sleep.
-func (p *Pusher) Stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-}
+// Stop ends the push loop and waits for it.
+func (p *Pusher) Stop() { p.tasks.Stop() }
 
 // Push builds one snapshot and POSTs it to the controller.
 func (p *Pusher) Push() error {

@@ -65,6 +65,12 @@ func catalogRun(t *testing.T) string {
 	t.Helper()
 	var out strings.Builder
 	err := vclock.Simulate("catalog", func(sim *vclock.Sim) error {
+		// Runs last, after every deferred Stop below.
+		defer func() {
+			if live := sim.Live(true); len(live) > 0 {
+				t.Errorf("tasks outlived Stop: %v", live)
+			}
+		}()
 		net := simnet.New(sim, 5)
 		net.SetDefaultPath(simnet.Path{Latency: 4 * time.Millisecond, Hops: 3, Bandwidth: 40 << 20})
 		net.SetLink("ap-a", "ap-b", simnet.Path{Latency: time.Millisecond, Hops: 1, Bandwidth: 100 << 20})

@@ -205,8 +205,9 @@ func newCluster(sim *vclock.Sim, sp clusterSpec) (*Cluster, error) {
 	return c, nil
 }
 
-// Stop halts pushers, APs and the controller.
-func (c *Cluster) Stop() {
+// Stop halts pushers, APs and the controller, and reports any of their
+// tasks that is still live.
+func (c *Cluster) Stop() error {
 	if c.clientPsh != nil {
 		c.clientPsh.Stop()
 		c.edgePsh.Stop()
@@ -215,6 +216,7 @@ func (c *Cluster) Stop() {
 		ap.Stop()
 	}
 	c.Controller.Stop()
+	return leaked(c.Sim)
 }
 
 // Drive runs client traffic for d of virtual time.

@@ -53,6 +53,9 @@ func coherenceScenario(t *testing.T, mode coherence.Mode) (before, after, fresh 
 		}
 		after = a
 		fresh = obj.Body()
+		if err := tb.Stop(); err != nil {
+			t.Error(err)
+		}
 	})
 	sim.Shutdown()
 	sim.Wait()

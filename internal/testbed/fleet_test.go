@@ -45,7 +45,7 @@ func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Durati
 		if err := json.Unmarshal([]byte(fleetBody), &view); err != nil {
 			return fmt.Errorf("parse /fleet: %w", err)
 		}
-		return nil
+		return f.Stop()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,13 +15,12 @@ func meshRun(t *testing.T, cfg MeshConfig, ticks int) (requests, localHits, peer
 		if err != nil {
 			return err
 		}
-		defer m.Stop()
 		m.DriveTicks(ticks)
 		tot := m.MeshTotals()
 		requests, localHits = m.Requests, m.LocalHits
 		peerHits, fallbacks = tot.PeerHits, tot.PeerFallbacks
 		peerBytes, backhaul = tot.PeerBytes, tot.BackhaulBytes
-		return nil
+		return m.Stop()
 	})
 	if err != nil {
 		t.Fatal(err)

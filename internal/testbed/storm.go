@@ -261,32 +261,17 @@ func runStorm(sim *vclock.Sim, cfg StormConfig, res *StormResult) error {
 	// invalidation wave, not a drip — so coalescing windows actually see
 	// contemporaneous messages.
 	pub := httplite.NewClient(net.Node(originNode))
-	var (
-		mu   sync.Mutex
-		done int
-	)
+	publishers := vclock.NewGroup(sim)
 	for k := 0; k < cfg.Objects; k++ {
 		url := stormObjURL(k)
-		sim.Go("storm.pub", func() {
+		publishers.Go("storm.pub", func() {
 			start := sim.Now()
-			err := coherence.Publish(pub, hubAddr, coherence.Msg{URL: url, Version: 2})
-			mu.Lock()
-			if err == nil {
+			if err := coherence.Publish(pub, hubAddr, coherence.Msg{URL: url, Version: 2}); err == nil {
 				res.PubLatency.Add(sim.Now().Sub(start))
 			}
-			done++
-			mu.Unlock()
 		})
 	}
-	for {
-		sim.Sleep(10 * time.Millisecond)
-		mu.Lock()
-		d := done
-		mu.Unlock()
-		if d == cfg.Objects {
-			break
-		}
-	}
+	publishers.Wait()
 	sim.Sleep(stormSettle)
 
 	// Drain the counters.

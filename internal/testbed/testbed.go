@@ -359,8 +359,9 @@ func (tb *Testbed) MutateObject(url string) (int64, error) {
 	return v, err
 }
 
-// Stop closes the system-under-test's listeners.
-func (tb *Testbed) Stop() {
+// Stop stops the system under test and reports any task of a stopped
+// component that is still live.
+func (tb *Testbed) Stop() error {
 	if tb.AP != nil {
 		tb.AP.Stop()
 	}
@@ -370,6 +371,15 @@ func (tb *Testbed) Stop() {
 	if tb.WiAP != nil {
 		tb.WiAP.Stop()
 	}
+	return leaked(tb.Sim)
+}
+
+// leaked reports the live tasks of the simulation's stopped components.
+func leaked(sim *vclock.Sim) error {
+	if live := sim.Live(true); len(live) > 0 {
+		return fmt.Errorf("testbed: tasks outlived Stop: %v", live)
+	}
+	return nil
 }
 
 // FetcherFor returns the per-app client for the system under test,

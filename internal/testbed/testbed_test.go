@@ -40,6 +40,9 @@ func runSystem(t *testing.T, system System, suite *workload.Suite, d time.Durati
 			return
 		}
 		res = workload.Run(sim, suite, tb.FetcherFor, d, 5)
+		if err := tb.Stop(); err != nil {
+			t.Errorf("%v: %v", system, err)
+		}
 	})
 	sim.Shutdown()
 	sim.Wait()

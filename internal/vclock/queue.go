@@ -122,22 +122,12 @@ func (q *Queue[T]) pop(d time.Duration) (T, error) {
 			q.sim.mu.Unlock()
 			return zero, ErrClosed
 		}
+		q.waiters = remove(q.waiters, qw)
 		if qw.w.timeout {
-			q.removeWaiterLocked(qw)
 			q.sim.mu.Unlock()
 			return zero, ErrTimeout
 		}
 		// Spurious wake (e.g. Shutdown fired our timer before Close ran);
 		// loop and re-examine state.
-		q.removeWaiterLocked(qw)
-	}
-}
-
-func (q *Queue[T]) removeWaiterLocked(target *qwaiter[T]) {
-	for i, qw := range q.waiters {
-		if qw == target {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return
-		}
 	}
 }

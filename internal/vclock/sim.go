@@ -20,7 +20,8 @@ import (
 //
 // Rules for code running under a Sim:
 //   - spawn concurrency only via Go (never the go statement);
-//   - block only via Sleep or Queue operations (never bare channels);
+//   - block only via Sleep, Queue operations or an Event (never bare
+//     channels);
 //   - interact with sim state only from within tasks (enter via Run/Go).
 type Sim struct {
 	mu      sync.Mutex
@@ -34,6 +35,8 @@ type Sim struct {
 	blocked map[string]int // diagnostic: blocked-site name -> count
 	closed  bool
 	closers []func() // registered queue closers, invoked on Shutdown
+	events  []*Event // events with parked waiters, in first-park order
+	groups  []*Group // every Group spawning on this simulation
 	idle    *sync.Cond
 	failure error // deadlock diagnostic, sticky once set
 }
@@ -150,8 +153,9 @@ func (s *Sim) Run(name string, fn func()) {
 	<-done
 }
 
-// Shutdown closes every registered queue and cancels all pending timers,
-// waking their tasks so that server loops observing ErrClosed can exit.
+// Shutdown closes every registered queue, cancels all pending timers and
+// releases every Event waiter, waking their tasks so that server loops
+// observing ErrClosed can exit.
 // It is safe to call from inside or outside a task, and more than once.
 func (s *Sim) Shutdown() {
 	s.mu.Lock()
@@ -166,6 +170,9 @@ func (s *Sim) Shutdown() {
 	for len(s.timers) > 0 {
 		t := heap.Pop(&s.timers).(*timer)
 		s.wakeLocked(t.w, true)
+	}
+	for len(s.events) > 0 {
+		s.releaseLocked(s.events[0])
 	}
 	if !s.running {
 		s.dispatchLocked()

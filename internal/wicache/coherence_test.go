@@ -170,54 +170,24 @@ func TestAPServerSweeperEvictsExpired(t *testing.T) {
 	}
 }
 
-// countingEnv wraps an Env and tracks, per task name, how many of the
-// tasks it spawned are still running.
-type countingEnv struct {
-	vclock.Env
-	mu   sync.Mutex
-	live map[string]int
-}
-
-func (e *countingEnv) Go(name string, fn func()) {
-	e.mu.Lock()
-	e.live[name]++
-	e.mu.Unlock()
-	e.Env.Go(name, func() {
-		defer func() {
-			e.mu.Lock()
-			e.live[name]--
-			e.mu.Unlock()
-		}()
-		fn()
-	})
-}
-
-func (e *countingEnv) running(name string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.live[name]
-}
-
-// TestControllerStopHaltsRelayDispatcher: once the controller stops, its
-// relay dispatcher's workers exit within a flush tick instead of waking
+// TestControllerStopHaltsRelayDispatcher: once the controller's Stop
+// returns, its relay dispatcher's workers have exited instead of waking
 // every tick until the process ends.
 func TestControllerStopHaltsRelayDispatcher(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	sim.Run("main", func() {
-		env := &countingEnv{Env: sim, live: make(map[string]int)}
 		net := simnet.New(sim, 1)
-		controller := NewController(env, net.Node("ec2"))
+		controller := NewController(sim, net.Node("ec2"))
 		controller.EnableDispatch(coherence.DispatchConfig{})
 		if err := controller.Start(0); err != nil {
 			t.Errorf("controller: %v", err)
 			return
 		}
-		if got := env.running("coherence.dispatch"); got != coherence.DefaultWorkers {
+		if got := sim.Live(false)["coherence.dispatch"]; got != coherence.DefaultWorkers {
 			t.Errorf("dispatch workers running = %d, want %d", got, coherence.DefaultWorkers)
 		}
 		controller.Stop()
-		sim.Sleep(2 * coherence.DefaultFlushInterval)
-		if got := env.running("coherence.dispatch"); got != 0 {
+		if got := sim.Live(false)["coherence.dispatch"]; got != 0 {
 			t.Errorf("dispatch workers still running after Stop: %d", got)
 		}
 	})

@@ -86,6 +86,9 @@ type Controller struct {
 
 	fleet *FleetStore
 	mesh  *coopmesh.Directory
+
+	// tasks owns the fill orders in flight; Stop waits for them.
+	tasks *vclock.Group
 }
 
 // NewController builds a controller.
@@ -96,6 +99,7 @@ func NewController(env vclock.Env, host transport.Host) *Controller {
 		host:      host,
 		client:    client,
 		relay:     coherence.NewDispatcher(env, client),
+		tasks:     vclock.NewGroup(env),
 		locations: make(map[string][]string),
 		apAddrs:   make(map[string]transport.Addr),
 		apServe:   make(map[string]transport.Addr),
@@ -298,12 +302,14 @@ func (c *Controller) handlePurge(req *httplite.Request) *httplite.Response {
 	return httplite.NewResponse(200, nil)
 }
 
-// Stop closes the controller listener and halts the relay dispatcher.
+// Stop closes the controller listener, stops the relay dispatcher and
+// waits for the fill orders in flight.
 func (c *Controller) Stop() {
 	if c.listener != nil {
 		c.listener.Close()
 	}
 	c.relay.Stop()
+	c.tasks.Stop()
 }
 
 // Addr returns the controller endpoint.
@@ -340,7 +346,7 @@ func (c *Controller) handleLocate(req *httplite.Request) *httplite.Response {
 	// back to any registered AP) so the next nearby request hits.
 	if canFill {
 		c.fillOrdersC.Inc()
-		c.env.Go("wicache.fill-order", func() {
+		c.tasks.Go("wicache.fill-order", func() {
 			freq := httplite.NewRequest("POST", fill.Host, "/fill")
 			body, _ := json.Marshal(lr)
 			freq.Body = body
@@ -425,9 +431,8 @@ type APServer struct {
 	// applied.
 	fills  telemetry.Counter
 	purges telemetry.Counter
-	// mu guards stopped (the sweeper checks it from its own task).
-	mu      sync.Mutex
-	stopped bool
+	// tasks owns the sweeper; Stop waits for it.
+	tasks *vclock.Group
 }
 
 // NewAPServer builds a Wi-Cache AP with an LRU store of the given
@@ -440,6 +445,7 @@ func NewAPServer(env vclock.Env, host transport.Host, name string, capacity int6
 		client:     httplite.NewClient(host),
 		edgeAddr:   edgeAddr,
 		controller: controller,
+		tasks:      vclock.NewGroup(env),
 	}
 	s.store = cachepolicy.NewStore(env, capacity, 0, cachepolicy.NewLRU(), nil)
 	return s
@@ -468,34 +474,18 @@ func (s *APServer) Start(port uint16) error {
 	return nil
 }
 
-// Stop closes the AP listener.
+// Stop closes the AP listener and waits for the sweeper.
 func (s *APServer) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
 	if s.listener != nil {
 		s.listener.Close()
 	}
+	s.tasks.Stop()
 }
 
 // startSweeper periodically evicts TTL-expired LRU entries, driven by the
-// AP's clock (virtual under simulation, so sweeps are deterministic). It
-// exits when the AP stops or when Sleep stops consuming time.
+// AP's clock (virtual under simulation, so sweeps are deterministic).
 func (s *APServer) startSweeper() {
-	const interval = time.Minute
-	s.env.Go("wicache.sweeper", func() {
-		for {
-			before := s.env.Now()
-			s.env.Sleep(interval)
-			s.mu.Lock()
-			stopped := s.stopped
-			s.mu.Unlock()
-			if stopped || s.env.Now().Sub(before) < interval {
-				return
-			}
-			s.store.SweepExpired()
-		}
-	})
+	s.tasks.Every("wicache.sweeper", time.Minute, func() { s.store.SweepExpired() })
 }
 
 // handlePurge applies purges relayed by the controller (either wire

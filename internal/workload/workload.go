@@ -251,58 +251,39 @@ type RunResult struct {
 // frequency. It must be called from within a simulation task.
 func Run(sim *vclock.Sim, suite *Suite, fetcherFor FetcherFor, duration time.Duration, seed int64) *RunResult {
 	res := &RunResult{PerApp: make(map[string]*metrics.LatencyStats, len(suite.Apps))}
-	results := vclock.NewQueue[appResult](sim, "workload.results")
-	defer results.Close()
-
-	drivers := 0
+	drivers := vclock.NewGroup(sim)
+	n := 0
 	for _, app := range suite.Apps {
-		app := app
 		freq := suite.Freq[app.Name]
 		if freq <= 0 {
 			continue
 		}
 		fetcher := fetcherFor(app)
-		rng := rand.New(rand.NewSource(seed + int64(drivers)))
-		drivers++
-		res.PerApp[app.Name] = &metrics.LatencyStats{}
-		sim.Go("drive:"+app.Name, func() {
+		rng := rand.New(rand.NewSource(seed + int64(n)))
+		n++
+		stats := &metrics.LatencyStats{}
+		res.PerApp[app.Name] = stats
+		drivers.Go("drive:"+app.Name, func() {
 			deadline := sim.Now().Add(duration)
 			for {
 				// Poisson inter-arrival at rate freq per minute.
 				gap := time.Duration(rng.ExpFloat64() / freq * float64(time.Minute))
 				if sim.Now().Add(gap).After(deadline) {
-					break
+					return
 				}
 				sim.Sleep(gap)
+				// Tasks of one Sim run one at a time: no lock needed.
 				r := appmodel.Execute(sim, sim, app, fetcher)
-				results.Push(appResult{app: app.Name, res: r})
+				if r.Err != nil {
+					res.Failures++
+					continue
+				}
+				res.Executions++
+				stats.Add(r.Latency)
+				res.Overall.Add(r.Latency)
 			}
-			results.Push(appResult{app: app.Name, done: true})
 		})
 	}
-
-	for finished := 0; finished < drivers; {
-		ar, err := results.Pop()
-		if err != nil {
-			break
-		}
-		if ar.done {
-			finished++
-			continue
-		}
-		if ar.res.Err != nil {
-			res.Failures++
-			continue
-		}
-		res.Executions++
-		res.PerApp[ar.app].Add(ar.res.Latency)
-		res.Overall.Add(ar.res.Latency)
-	}
+	drivers.Wait()
 	return res
-}
-
-type appResult struct {
-	app  string
-	res  appmodel.Result
-	done bool
 }
