@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -604,31 +605,34 @@ func (ap *AP) handleDelegate(req *httplite.Request) *httplite.Response {
 	return resp
 }
 
-// queryParams parses the query string of a request path (url.ParseQuery
-// handles the escaping).
+// queryParams parses the query string of a request path with
+// url.ParseQuery's rules, without the url.Values it builds: the first
+// value of a key wins, and a semicolon or a bad escape anywhere empties
+// the result.
 func queryParams(path string) map[string]string {
 	out := make(map[string]string)
-	i := indexByte(path, '?')
-	if i < 0 {
+	_, query, ok := strings.Cut(path, "?")
+	if !ok {
 		return out
 	}
-	values, err := url.ParseQuery(path[i+1:])
-	if err != nil {
-		return out
-	}
-	for k, vs := range values {
-		if len(vs) > 0 {
-			out[k] = vs[0]
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err == nil {
+			v, err = url.QueryUnescape(v)
+		}
+		if err != nil || strings.Contains(pair, ";") {
+			clear(out)
+			return out
+		}
+		if _, seen := out[k]; !seen {
+			out[k] = v
 		}
 	}
 	return out
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

@@ -75,6 +75,53 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestDecodeCacheResponseAllocBudget pins the decode side of a
+// piggybacked lookup: the message, its three sections, one string per
+// name and one array for all RDATA.
+func TestDecodeCacheResponseAllocBudget(t *testing.T) {
+	wire, err := cacheResponse(16).Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(wire); err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("decoding a 16-entry DNS-Cache response allocates %.1f times, want at most 8", allocs)
+	}
+}
+
+// TestDecodeRDataCapped: records share one RDATA array, but appending to
+// one record's data must not overwrite the next record's.
+func TestDecodeRDataCapped(t *testing.T) {
+	m := NewQuery(1, "a.example", TypeA).Reply()
+	m.Answers = append(m.Answers,
+		NewA("a.example", 60, IPv4{1, 2, 3, 4}),
+		NewA("a.example", 60, IPv4{5, 6, 7, 8}))
+	wire, err := m.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	got, err := Decode(wire)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	first, second := got.Answers[0].Data, got.Answers[1].Data
+	if cap(first) != len(first) {
+		t.Errorf("rdata cap %d, want its length %d", cap(first), len(first))
+	}
+	_ = append(first, 9, 9, 9, 9)
+	if string(second) != "\x05\x06\x07\x08" {
+		t.Errorf("second rdata = %v after appending to the first", second)
+	}
+	wire[len(wire)-1] = 0xFF
+	if second[3] != 8 {
+		t.Error("rdata aliases the wire buffer")
+	}
+}
+
 func BenchmarkEncodeCacheResponse(b *testing.B) {
 	msg := cacheResponse(32)
 	b.ReportAllocs()

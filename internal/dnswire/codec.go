@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // maxMessageSize bounds encoded messages; our transports carry up to
@@ -254,8 +255,9 @@ func presize(count uint16, physMax int) int {
 }
 
 type decoder struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	rdata []byte // copies of the message's RDATA, one backing array
 }
 
 func (d *decoder) u16() (uint16, error) {
@@ -325,8 +327,14 @@ func (d *decoder) rr() (RR, error) {
 		}
 		rr.Data = raw
 	default:
-		rr.Data = make([]byte, rdlen)
-		copy(rr.Data, rdata)
+		if d.rdata == nil {
+			// Every later RDATA lies in the bytes still ahead, so one
+			// array of that size holds them all.
+			d.rdata = make([]byte, 0, len(d.data)-d.pos)
+		}
+		start := len(d.rdata)
+		d.rdata = append(d.rdata, rdata...)
+		rr.Data = d.rdata[start:len(d.rdata):len(d.rdata)]
 	}
 	d.pos += int(rdlen)
 	return rr, nil
@@ -334,9 +342,13 @@ func (d *decoder) rr() (RR, error) {
 
 // decodeName reads a (possibly compressed) name starting at off and
 // returns the canonical name plus the offset just past it in the
-// uncompressed portion.
+// uncompressed portion. The name is assembled in a stack buffer with ASCII
+// lowercased in place, so a name costs one allocation, its string; a
+// label holding a byte >= 0x80 is lowered by strings.ToLower, whose
+// canonical form (U+FFFD for invalid UTF-8) non-ASCII names keep.
 func decodeName(data []byte, off int) (string, int, error) {
-	var labels []string
+	var buf [255]byte // a name's labels plus dots never pass 254 bytes
+	name := buf[:0]
 	next := -1 // resume offset after the first pointer
 	jumps := 0
 	totalLen := 0
@@ -350,7 +362,7 @@ func decodeName(data []byte, off int) (string, int, error) {
 			if next < 0 {
 				next = off + 1
 			}
-			return strings.Join(labels, "."), next, nil
+			return string(name), next, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(data) {
 				return "", 0, ErrTruncatedMessage
@@ -375,15 +387,39 @@ func decodeName(data []byte, off int) (string, int, error) {
 			if totalLen > 255 {
 				return "", 0, ErrBadName
 			}
-			label := strings.ToLower(string(data[off+1 : off+1+n]))
-			// This stack canonicalizes names as dot-joined strings, so a
-			// dot inside a label has no faithful representation; real
-			// resolvers treat such labels as hostile anyway.
-			if strings.ContainsRune(label, '.') {
+			if len(name) > 0 {
+				name = append(name, '.')
+			}
+			var ok bool
+			if name, ok = appendLabel(name, data[off+1:off+1+n]); !ok {
+				// This stack canonicalizes names as dot-joined strings,
+				// so a dot inside a label has no faithful
+				// representation; real resolvers treat such labels as
+				// hostile anyway.
 				return "", 0, ErrBadName
 			}
-			labels = append(labels, label)
 			off += 1 + n
 		}
 	}
+}
+
+// appendLabel appends the lowercased label to name, reporting false if
+// the label holds a dot.
+func appendLabel(name, label []byte) ([]byte, bool) {
+	start := len(name)
+	for _, c := range label {
+		switch {
+		case c >= utf8.RuneSelf:
+			// strings.ToLower may change the label's length (invalid
+			// UTF-8 becomes U+FFFD); append grows past buf if need be.
+			lower := strings.ToLower(string(label))
+			return append(name[:start], lower...), !strings.ContainsRune(lower, '.')
+		case c == '.':
+			return name, false
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		}
+		name = append(name, c)
+	}
+	return name, true
 }

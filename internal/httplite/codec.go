@@ -17,6 +17,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Codec limits.
@@ -106,52 +107,84 @@ func statusText(code int) string {
 	}
 }
 
-// WriteRequest serializes req to w.
+// heads recycles the buffers message heads are built in. A head goes out
+// in one Write, and an io.Writer may not retain what it is given, so the
+// buffer is free again as soon as that Write returns.
+var heads = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+// maxPooledHead bounds the buffers returned to heads: a message with huge
+// headers must not pin its buffer for the life of the process.
+const maxPooledHead = 64 << 10
+
+// WriteRequest serializes req to w: the head in one Write, the body (if
+// any) in a second.
 func WriteRequest(w io.Writer, req *Request) error {
-	var b strings.Builder
+	bp := heads.Get().(*[]byte)
 	path := req.Path
 	if path == "" {
 		path = "/"
 	}
-	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\n", req.Method, path)
+	b := append((*bp)[:0], req.Method...)
+	b = append(b, ' ')
+	b = append(b, path...)
+	b = append(b, " HTTP/1.1\r\n"...)
 	if req.Host != "" {
-		fmt.Fprintf(&b, "host: %s\r\n", req.Host)
+		b = appendHeader(b, "host", req.Host)
 	}
 	for k, v := range req.Header {
 		if k == "host" || k == "content-length" {
 			continue
 		}
-		fmt.Fprintf(&b, "%s: %s\r\n", k, v)
+		b = appendHeader(b, k, v)
 	}
-	fmt.Fprintf(&b, "content-length: %d\r\n\r\n", len(req.Body))
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return fmt.Errorf("httplite: write request head: %w", err)
-	}
-	if len(req.Body) > 0 {
-		if _, err := w.Write(req.Body); err != nil {
-			return fmt.Errorf("httplite: write request body: %w", err)
-		}
-	}
-	return nil
+	return writeMessage(w, bp, b, req.Body, "request")
 }
 
-// WriteResponse serializes resp to w.
+// WriteResponse serializes resp to w: the head in one Write, the body (if
+// any) in a second.
 func WriteResponse(w io.Writer, resp *Response) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", resp.Status, statusText(resp.Status))
+	bp := heads.Get().(*[]byte)
+	b := append((*bp)[:0], "HTTP/1.1 "...)
+	b = strconv.AppendInt(b, int64(resp.Status), 10)
+	b = append(b, ' ')
+	b = append(b, statusText(resp.Status)...)
+	b = append(b, "\r\n"...)
 	for k, v := range resp.Header {
 		if k == "content-length" {
 			continue
 		}
-		fmt.Fprintf(&b, "%s: %s\r\n", k, v)
+		b = appendHeader(b, k, v)
 	}
-	fmt.Fprintf(&b, "content-length: %d\r\n\r\n", len(resp.Body))
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return fmt.Errorf("httplite: write response head: %w", err)
+	return writeMessage(w, bp, b, resp.Body, "response")
+}
+
+func appendHeader(b []byte, k, v string) []byte {
+	b = append(b, k...)
+	b = append(b, ": "...)
+	b = append(b, v...)
+	return append(b, "\r\n"...)
+}
+
+// writeMessage ends the head with content-length, writes it, recycles its
+// buffer and then writes the body.
+func writeMessage(w io.Writer, bp *[]byte, head, body []byte, kind string) error {
+	head = append(head, "content-length: "...)
+	head = strconv.AppendInt(head, int64(len(body)), 10)
+	head = append(head, "\r\n\r\n"...)
+	_, err := w.Write(head)
+	if cap(head) <= maxPooledHead {
+		*bp = head[:0]
+		heads.Put(bp)
 	}
-	if len(resp.Body) > 0 {
-		if _, err := w.Write(resp.Body); err != nil {
-			return fmt.Errorf("httplite: write response body: %w", err)
+	if err != nil {
+		return fmt.Errorf("httplite: write %s head: %w", kind, err)
+	}
+	if len(body) > 0 {
+		if _, err := w.Write(body); err != nil {
+			return fmt.Errorf("httplite: write %s body: %w", kind, err)
 		}
 	}
 	return nil
@@ -163,11 +196,12 @@ func ReadRequest(r *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/1.") {
+	method, rest, ok1 := strings.Cut(line, " ")
+	target, proto, ok2 := strings.Cut(rest, " ")
+	if !ok1 || !ok2 || !strings.HasPrefix(proto, "HTTP/1.") {
 		return nil, fmt.Errorf("httplite: request line %q: %w", line, ErrMalformed)
 	}
-	req := &Request{Method: parts[0], Path: parts[1], Header: make(map[string]string)}
+	req := &Request{Method: method, Path: target, Header: make(map[string]string)}
 	if err := readHeaders(r, req.Header); err != nil {
 		return nil, err
 	}
@@ -185,13 +219,14 @@ func ReadResponse(r *bufio.Reader) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
+	proto, rest, ok := strings.Cut(line, " ")
+	if !ok || !strings.HasPrefix(proto, "HTTP/1.") {
 		return nil, fmt.Errorf("httplite: status line %q: %w", line, ErrMalformed)
 	}
-	status, err := strconv.Atoi(parts[1])
+	code, _, _ := strings.Cut(rest, " ")
+	status, err := strconv.Atoi(code)
 	if err != nil {
-		return nil, fmt.Errorf("httplite: status %q: %w", parts[1], ErrMalformed)
+		return nil, fmt.Errorf("httplite: status %q: %w", code, ErrMalformed)
 	}
 	resp := &Response{Status: status, Header: make(map[string]string)}
 	if err := readHeaders(r, resp.Header); err != nil {

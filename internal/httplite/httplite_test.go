@@ -152,6 +152,32 @@ func TestMuxLongestPrefixWins(t *testing.T) {
 	}
 }
 
+// TestMuxRegistrationOrderAndReplace: routing does not depend on the
+// order prefixes were registered in, and registering a prefix again
+// replaces its handler.
+func TestMuxRegistrationOrderAndReplace(t *testing.T) {
+	m := NewMux()
+	for _, p := range []string{"/obj/special", "/", "/obj", "/x"} {
+		m.HandleFunc(p, func(*Request) *Response { return NewResponse(200, []byte(p)) })
+	}
+	m.HandleFunc("/obj", func(*Request) *Response { return NewResponse(200, []byte("obj2")) })
+	cases := map[string]string{
+		"/other":           "/",
+		"/obj":             "obj2",
+		"/obj/special/sub": "/obj/special",
+		"/x#frag":          "/x",
+	}
+	for path, want := range cases {
+		resp := m.ServeHTTP(NewRequest("GET", "h", path))
+		if string(resp.Body) != want {
+			t.Errorf("mux(%q) = %q, want %q", path, resp.Body, want)
+		}
+	}
+	if n := len(m.routes); n != 4 {
+		t.Errorf("%d routes after re-registering one, want 4", n)
+	}
+}
+
 func TestMuxUnmatchedIs404(t *testing.T) {
 	m := NewMux()
 	m.HandleFunc("/a", func(*Request) *Response { return NewResponse(200, nil) })

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,16 +25,33 @@ func (f HandlerFunc) ServeHTTP(req *Request) *Response { return f(req) }
 
 // Mux routes by longest matching path prefix.
 type Mux struct {
-	routes map[string]Handler
+	routes []route // longest prefix first, kept sorted by Handle
+}
+
+type route struct {
+	prefix string
+	h      Handler
 }
 
 var _ Handler = (*Mux)(nil)
 
 // NewMux returns an empty mux; unmatched paths get 404.
-func NewMux() *Mux { return &Mux{routes: make(map[string]Handler)} }
+func NewMux() *Mux { return &Mux{} }
 
-// Handle registers a handler for a path prefix.
-func (m *Mux) Handle(prefix string, h Handler) { m.routes[prefix] = h }
+// Handle registers a handler for a path prefix, replacing any handler
+// already registered for it.
+func (m *Mux) Handle(prefix string, h Handler) {
+	for i := range m.routes {
+		if m.routes[i].prefix == prefix {
+			m.routes[i].h = h
+			return
+		}
+	}
+	// Insert after every prefix at least as long: two distinct prefixes
+	// of one length never both match a path, so their order is free.
+	i := sort.Search(len(m.routes), func(i int) bool { return len(m.routes[i].prefix) < len(prefix) })
+	m.routes = slices.Insert(m.routes, i, route{prefix: prefix, h: h})
+}
 
 // HandleFunc registers a function for a path prefix.
 func (m *Mux) HandleFunc(prefix string, f func(*Request) *Response) {
@@ -46,14 +64,9 @@ func (m *Mux) ServeHTTP(req *Request) *Response {
 	if i := strings.IndexAny(path, "?#"); i >= 0 {
 		path = path[:i]
 	}
-	prefixes := make([]string, 0, len(m.routes))
-	for p := range m.routes {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return len(prefixes[i]) > len(prefixes[j]) })
-	for _, p := range prefixes {
-		if strings.HasPrefix(path, p) {
-			return m.routes[p].ServeHTTP(req)
+	for _, r := range m.routes {
+		if strings.HasPrefix(path, r.prefix) {
+			return r.h.ServeHTTP(req)
 		}
 	}
 	return NewResponse(404, []byte("not found"))

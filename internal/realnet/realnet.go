@@ -114,19 +114,25 @@ func (l *listener) Addr() transport.Addr { return toAddr(l.l.Addr()) }
 type stream struct {
 	c           net.Conn
 	readTimeout time.Duration
+	deadline    bool // a read deadline is armed on c
 }
 
 var _ transport.Stream = (*stream)(nil)
 
+// Read re-arms the read deadline on every call while a timeout is set,
+// and clears it once on the first read after the timeout is turned off;
+// a stream that never had a timeout makes no deadline calls at all.
 func (s *stream) Read(p []byte) (int, error) {
 	if s.readTimeout > 0 {
 		if err := s.c.SetReadDeadline(time.Now().Add(s.readTimeout)); err != nil {
 			return 0, mapErr(err)
 		}
-	} else {
+		s.deadline = true
+	} else if s.deadline {
 		if err := s.c.SetReadDeadline(time.Time{}); err != nil {
 			return 0, mapErr(err)
 		}
+		s.deadline = false
 	}
 	n, err := s.c.Read(p)
 	if err != nil && !errors.Is(err, io.EOF) {

@@ -163,6 +163,43 @@ func TestStreamReadTimeout(t *testing.T) {
 	}
 }
 
+// TestStreamReadTimeoutTurnedOff: after SetReadTimeout(0) a read blocks
+// until data arrives, even though the deadline armed by the earlier
+// timed-out read has long passed.
+func TestStreamReadTimeoutTurnedOff(t *testing.T) {
+	h := NewHost("")
+	l, err := h.Listen(0)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer l.Close()
+	go func() {
+		s, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		time.Sleep(150 * time.Millisecond)
+		_, _ = s.Write([]byte("late"))
+		time.Sleep(100 * time.Millisecond)
+	}()
+	c, err := h.Dial(l.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	c.SetReadTimeout(30 * time.Millisecond)
+	buf := make([]byte, 4)
+	if _, err := c.Read(buf); !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	c.SetReadTimeout(0)
+	n, err := io.ReadFull(c, buf)
+	if err != nil || string(buf[:n]) != "late" {
+		t.Fatalf("read after turning the timeout off = %q, %v; want \"late\"", buf[:n], err)
+	}
+}
+
 func TestEOFAfterPeerClose(t *testing.T) {
 	h := NewHost("")
 	l, err := h.Listen(0)

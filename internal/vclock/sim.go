@@ -14,7 +14,9 @@ import (
 // Exactly one task runs at any instant (the task "holds the floor"); when
 // the running task blocks — in Sleep, in a Queue operation, or by finishing
 // — the floor passes to the next ready task, and when no task is ready the
-// clock jumps to the earliest pending timer. This cooperative model makes
+// clock jumps to the earliest pending timer. The clock moves only while a
+// Run is in progress (or during Shutdown): between Runs, tasks that are
+// ready still run, but pending timers wait. This cooperative model makes
 // simulated timestamps deterministic and lets user-level simulation code
 // run without locks.
 //
@@ -142,8 +144,9 @@ func (s *Sim) spawn(name string, fn func(), main bool) {
 }
 
 // Run executes fn as a task and blocks the (non-task) caller until fn
-// returns. Other tasks may still be live when Run returns; call Shutdown
-// and Wait for orderly teardown.
+// returns. Other tasks may still be live when Run returns, parked until
+// the next Run advances the clock; call Shutdown and Wait for orderly
+// teardown.
 func (s *Sim) Run(name string, fn func()) {
 	done := make(chan struct{})
 	s.spawn(name, func() {
@@ -296,6 +299,11 @@ func (s *Sim) dispatchLocked() {
 				s.failure = fmt.Errorf("vclock: deadlock — all tasks blocked with no pending timers: %s", s.blockedSummaryLocked())
 				go s.Shutdown()
 			}
+			return
+		}
+		if s.mains == 0 && !s.closed {
+			// No Run is waiting: time stands still until the next Run
+			// or Shutdown, so a loop nobody stopped cannot free-run.
 			return
 		}
 		t := heap.Pop(&s.timers).(*timer)

@@ -108,10 +108,11 @@ func TestEveryTicksEachInterval(t *testing.T) {
 	}
 }
 
-// TestEveryReturnsAfterShutdown: a loop nobody stopped ends when the
+// TestEveryReturnsAfterShutdown: a loop nobody stopped ticks only while
+// Run is in progress — virtual time stands still between Run returning
+// and Shutdown, so the loop cannot free-run there — and ends when the
 // simulation shuts down, instead of spinning on waits that no longer
-// advance time. (Until Shutdown the loop keeps ticking: the clock runs
-// on after the main task returns.)
+// advance time.
 func TestEveryReturnsAfterShutdown(t *testing.T) {
 	s := NewSim(time.Time{})
 	var ticks atomic.Int32
@@ -119,6 +120,15 @@ func TestEveryReturnsAfterShutdown(t *testing.T) {
 		NewGroup(s).Every("tick", time.Second, func() { ticks.Add(1) })
 		s.Sleep(2500 * time.Millisecond)
 	})
+	ranUntil := s.Now()
+	atRun := ticks.Load()
+	time.Sleep(20 * time.Millisecond) // wall time for a free-running loop to show
+	if extra := ticks.Load() - atRun; extra != 0 || !s.Now().Equal(ranUntil) {
+		t.Errorf("after Run returned: %d more ticks, clock moved %v; want 0 and 0", extra, s.Now().Sub(ranUntil))
+	}
+	if atRun != 2 {
+		t.Errorf("ticks during Run = %d, want 2", atRun)
+	}
 	s.Shutdown()
 	done := make(chan struct{})
 	go func() {
@@ -129,6 +139,9 @@ func TestEveryReturnsAfterShutdown(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("Every still running 5s after Shutdown (%d ticks)", ticks.Load())
+	}
+	if extra := ticks.Load() - atRun; extra != 0 {
+		t.Errorf("%d ticks after Shutdown, want 0", extra)
 	}
 }
 
