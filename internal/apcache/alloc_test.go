@@ -9,7 +9,6 @@ package apcache
 import (
 	"fmt"
 	"math/rand"
-	"net/url"
 	"testing"
 	"time"
 
@@ -86,17 +85,5 @@ func BenchmarkHandleDNS(b *testing.B) {
 				ap.HandleDNS(from, q)
 			}
 		})
-	}
-}
-
-// TestQueryParamsAllocBudget: parsing a /cache hit's query string costs
-// the result map and the unescaped URL, not url.Values besides.
-func TestQueryParamsAllocBudget(t *testing.T) {
-	path := "/cache?u=" + url.QueryEscape("http://api.movie.example/clip/3") + "&app=movie"
-	if got := queryParams(path); got["u"] != "http://api.movie.example/clip/3" || got["app"] != "movie" {
-		t.Fatalf("queryParams(%q) = %q", path, got)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = queryParams(path) }); allocs > 3 {
-		t.Errorf("queryParams allocates %.1f times per /cache path, want at most 3", allocs)
 	}
 }

@@ -8,9 +8,7 @@ package apcache
 
 import (
 	"fmt"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -416,7 +414,7 @@ func (ap *AP) handleCacheGet(req *httplite.Request) *httplite.Response {
 	if ap.cfg.HTTPProcessing > 0 {
 		ap.cfg.Env.Sleep(ap.cfg.HTTPProcessing)
 	}
-	params := queryParams(req.Path)
+	params := httplite.QueryParams(req.Path)
 	target := params["u"]
 	if target == "" {
 		return httplite.NewResponse(400, []byte("missing u parameter"))
@@ -603,36 +601,4 @@ func (ap *AP) handleDelegate(req *httplite.Request) *httplite.Response {
 	resp := httplite.NewResponse(200, edgeResp.Body)
 	resp.Set("X-Ape-Source", "ap-delegate")
 	return resp
-}
-
-// queryParams parses the query string of a request path with
-// url.ParseQuery's rules, without the url.Values it builds: the first
-// value of a key wins, and a semicolon or a bad escape anywhere empties
-// the result.
-func queryParams(path string) map[string]string {
-	out := make(map[string]string)
-	_, query, ok := strings.Cut(path, "?")
-	if !ok {
-		return out
-	}
-	for query != "" {
-		var pair string
-		pair, query, _ = strings.Cut(query, "&")
-		if pair == "" {
-			continue
-		}
-		k, v, _ := strings.Cut(pair, "=")
-		k, err := url.QueryUnescape(k)
-		if err == nil {
-			v, err = url.QueryUnescape(v)
-		}
-		if err != nil || strings.Contains(pair, ";") {
-			clear(out)
-			return out
-		}
-		if _, seen := out[k]; !seen {
-			out[k] = v
-		}
-	}
-	return out
 }

@@ -111,7 +111,7 @@ func (ap *AP) Explain(basic string) ExplainReport {
 // handleExplain serves GET /explain?u=<url> (mounted only when the
 // decision ledger is on).
 func (ap *AP) handleExplain(req *httplite.Request) *httplite.Response {
-	params := queryParams(req.Path)
+	params := httplite.QueryParams(req.Path)
 	target := params["u"]
 	if target == "" {
 		return httplite.NewResponse(400, []byte("missing u parameter"))

@@ -204,7 +204,7 @@ func TestDummyIPShortCircuit(t *testing.T) {
 
 		// The domain is now fully cached: the DNS-Cache lookup must not
 		// touch upstream DNS and complete in one client<->AP round trip.
-		upstreamBefore := fx.ap.Forwarder().Misses + fx.ap.Forwarder().Hits
+		hitsBefore, missesBefore := fx.ap.Forwarder().CacheStats()
 		start := fx.sim.Now()
 		flags, ip, err := c.lookup("api.movie.example", 0)
 		if err != nil {
@@ -215,7 +215,7 @@ func TestDummyIPShortCircuit(t *testing.T) {
 		if ip != dnswire.DummyIP {
 			t.Errorf("short-circuit IP = %v, want dummy %v", ip, dnswire.DummyIP)
 		}
-		if fx.ap.Forwarder().Misses+fx.ap.Forwarder().Hits != upstreamBefore {
+		if hits, misses := fx.ap.Forwarder().CacheStats(); hits+misses != hitsBefore+missesBefore {
 			t.Error("short-circuited lookup still consulted the forwarder")
 		}
 		if elapsed != 3*time.Millisecond {

@@ -28,14 +28,14 @@ func benchEntries(n int, now time.Time) []*Entry {
 	return entries
 }
 
-// BenchmarkSolveKeepSetDP256 exercises the exact DP at its dpMaxEntries
-// ceiling — the worst case the bitset reconstruction table has to absorb.
+// BenchmarkSolveKeepSetDP256 times the exact DP, the greedy's test oracle,
+// on 256 entries, for comparison with BenchmarkSelectVictims.
 func BenchmarkSolveKeepSetDP256(b *testing.B) {
 	sim := vclock.NewSim(time.Time{})
 	sim.Run("main", func() {
 		f := NewFreqTracker(sim, 0.7, time.Minute)
 		now := sim.Now()
-		entries := benchEntries(dpMaxEntries, now)
+		entries := benchEntries(256, now)
 		var total int64
 		for _, e := range entries {
 			total += e.Size()
@@ -78,5 +78,15 @@ func BenchmarkSelectVictims(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+func BenchmarkGini(b *testing.B) {
+	values := make(map[string]float64, 30)
+	for i := range 30 {
+		values[fmt.Sprintf("app%d", i)] = float64(i + 1)
+	}
+	for b.Loop() {
+		Gini(values)
 	}
 }

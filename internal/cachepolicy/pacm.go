@@ -26,8 +26,8 @@ import (
 // utility-density order (utility per byte — the classic knapsack greedy,
 // optimal as item sizes shrink relative to capacity) and, whenever the
 // fairness bound is violated, restricts eviction to the apps that consume
-// storage least efficiently. The exact capacity-only DP in knapsack.go
-// verifies in tests that the greedy keep-set stays close to optimal.
+// storage least efficiently. An exact capacity-only DP, kept in the tests
+// as an oracle, verifies that the greedy keep-set stays close to optimal.
 //
 // Selection is incremental in the victim count, not the resident count:
 // instead of fully sorting every resident entry per admission (O(n log n)
@@ -41,9 +41,6 @@ import (
 type PACM struct {
 	// Theta is the fairness threshold θ (default 0.4).
 	Theta float64
-	// UseDP enables the exact capacity-dimension DP for small caches
-	// (ablation; quadratic in entry count × capacity units).
-	UseDP bool
 
 	// recordFairness makes each SelectVictims pass remember which victims
 	// the fairness repair dropped (as opposed to the capacity greedy), so
@@ -97,9 +94,8 @@ func (p *PACM) SelectVictims(now time.Time, entries []*Entry, incoming *Entry, c
 	}
 	clear(p.fairnessDrops) // drop last pass's references before reuse
 	p.fairnessDrops = p.fairnessDrops[:0]
-	dp := p.UseDP && len(entries) <= dpMaxEntries
-	if len(entries) == 0 || (dp && avail < dpUnit) {
-		return slices.Clone(entries) // the DP keeps nothing and reads no rate
+	if len(entries) == 0 {
+		return nil
 	}
 	s := &p.sel
 	s.reset(len(entries))
@@ -108,11 +104,7 @@ func (p *PACM) SelectVictims(now time.Time, entries []*Entry, incoming *Entry, c
 		s.app[i] = a
 		s.util[i] = utilityAtRate(e, now, s.apps[a].rate)
 	}
-	if dp {
-		solveKeepDP(entries, s.util, avail, s.keep)
-	} else {
-		s.greedy(entries, avail)
-	}
+	s.greedy(entries, avail)
 	kept := p.enforceFairness(entries, incoming, freq)
 
 	victims := make([]*Entry, 0, len(entries)-kept)

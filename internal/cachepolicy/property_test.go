@@ -69,8 +69,8 @@ func TestDPKeepSetDominatesGreedyProperty(t *testing.T) {
 			greedy := greedyKeepSet(entries, avail, now, freq)
 			exact := solveKeepSetDP(entries, avail, now, freq)
 
-			gu := KeepSetUtility(greedy, now, freq)
-			eu := KeepSetUtility(exact, now, freq)
+			gu := keepSetUtility(greedy, now, freq)
+			eu := keepSetUtility(exact, now, freq)
 			if eu+1e-6 < gu {
 				return false // DP must dominate greedy
 			}

@@ -15,12 +15,13 @@ import (
 // This file keeps the map-based PACM selection that the dense pass in
 // pacm.go replaced, verbatim apart from names, as the reference the
 // differential test below holds the production selection to: same victim
-// pointers in the same order, same fairness-drop set.
+// pointers in the same order, same fairness-drop set. It also keeps the
+// exact capacity-only knapsack DP, the oracle the greedy's utility is
+// measured against.
 
 // referencePACM carries the fields the reference selection reads.
 type referencePACM struct {
 	Theta          float64
-	UseDP          bool
 	recordFairness bool
 	fairnessDrops  map[*Entry]struct{}
 }
@@ -56,12 +57,7 @@ func referenceSelectVictims(p *referencePACM, now time.Time, entries []*Entry, i
 	if p.recordFairness {
 		p.fairnessDrops = nil // per-pass state; read back by the store
 	}
-	var keep []*Entry
-	if p.UseDP && len(entries) <= dpMaxEntries {
-		keep = referenceSolveKeepSetDP(entries, avail, now, freq)
-	} else {
-		keep = p.greedyKeepSet(entries, avail, now, freq)
-	}
+	keep := p.greedyKeepSet(entries, avail, now, freq)
 	keep = p.enforceFairness(keep, incoming, now, freq)
 
 	kept := make(map[*Entry]struct{}, len(keep))
@@ -247,7 +243,15 @@ func referenceGini(values map[string]float64) float64 {
 	return diff / (2 * float64(len(vals)) * sum)
 }
 
-func referenceSolveKeepSetDP(entries []*Entry, avail int64, now time.Time, freq *FreqTracker) []*Entry {
+// dpUnit is the size granularity of the DP table: sizes round up to whole
+// KiB, so the keep-set never overfits.
+const dpUnit = 1024
+
+// solveKeepSetDP returns the keep-set of maximum total utility whose
+// rounded-up sizes fit in avail bytes: the capacity dimension of the PACM
+// knapsack, solved exactly. It is quadratic in entry count × capacity
+// units, so it serves only as the greedy's oracle.
+func solveKeepSetDP(entries []*Entry, avail int64, now time.Time, freq *FreqTracker) []*Entry {
 	if avail <= 0 || len(entries) == 0 {
 		return nil
 	}
@@ -321,7 +325,7 @@ func differentialCase(rng *rand.Rand, sim *vclock.Sim, trial int) (entries []*En
 	now := sim.Now()
 	n := 1 + rng.Intn(48)
 	if rng.Intn(10) == 0 {
-		n += rng.Intn(300) // occasionally past dpMaxEntries
+		n += rng.Intn(300) // occasionally a few hundred entries
 	}
 	entries = make([]*Entry, n)
 	var total int64
@@ -380,39 +384,37 @@ func differentialCase(rng *rand.Rand, sim *vclock.Sim, trial int) (entries []*En
 }
 
 // TestPACMSelectionMatchesReference holds the dense selection to the
-// map-based reference on 4 000 random problems, with and without the DP
-// keep-set, with fairness recording on, through one PACM per mode so its
-// scratch is reused across problems of every size.
+// map-based reference on 4 000 random problems, with fairness recording
+// on, through one PACM so its scratch is reused across problems of every
+// size.
 func TestPACMSelectionMatchesReference(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	sim.Run("main", func() {
 		rng := rand.New(rand.NewSource(31))
-		policies := map[bool]*PACM{false: {recordFairness: true}, true: {UseDP: true, recordFairness: true}}
+		p := &PACM{recordFairness: true}
 		thetas := []float64{0, 0.05, 0.15, DefaultFairnessThreshold, 0.7, 1}
 		var evicting, repaired int
 		for trial := range 4000 {
 			entries, incoming, capacity, freq := differentialCase(rng, sim, trial)
-			dp := rng.Intn(3) == 0
-			p := policies[dp]
 			p.Theta = thetas[rng.Intn(len(thetas))]
-			ref := &referencePACM{Theta: p.Theta, UseDP: dp, recordFairness: true}
+			ref := &referencePACM{Theta: p.Theta, recordFairness: true}
 			now := sim.Now()
 
 			want := referenceSelectVictims(ref, now, entries, incoming, capacity, freq)
 			got := p.SelectVictims(now, entries, incoming, capacity, freq)
 			if len(got) != len(want) {
-				t.Fatalf("trial %d (dp=%v θ=%v, %d entries): %d victims, reference %d", trial, dp, p.Theta, len(entries), len(got), len(want))
+				t.Fatalf("trial %d (θ=%v, %d entries): %d victims, reference %d", trial, p.Theta, len(entries), len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d (dp=%v θ=%v): victim %d is %s, reference %s", trial, dp, p.Theta, i, got[i].Object.URL, want[i].Object.URL)
+					t.Fatalf("trial %d (θ=%v): victim %d is %s, reference %s", trial, p.Theta, i, got[i].Object.URL, want[i].Object.URL)
 				}
 			}
 			drops := 0
 			for _, e := range entries {
 				_, refDrop := ref.fairnessDrops[e]
 				if p.fairnessVictim(e) != refDrop {
-					t.Fatalf("trial %d (dp=%v θ=%v): fairness drop of %s = %v, reference %v", trial, dp, p.Theta, e.Object.URL, !refDrop, refDrop)
+					t.Fatalf("trial %d (θ=%v): fairness drop of %s = %v, reference %v", trial, p.Theta, e.Object.URL, !refDrop, refDrop)
 				}
 				if refDrop {
 					drops++

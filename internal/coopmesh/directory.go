@@ -2,7 +2,6 @@ package coopmesh
 
 import (
 	"encoding/json"
-	"net/url"
 	"sort"
 	"sync"
 	"time"
@@ -197,7 +196,7 @@ func (d *Directory) handleSummary(req *httplite.Request) *httplite.Response {
 
 // handleLookup serves GET /mesh/lookup?u=<url>&from=<node>.
 func (d *Directory) handleLookup(req *httplite.Request) *httplite.Response {
-	params := queryParams(req.Path)
+	params := httplite.QueryParams(req.Path)
 	target := params["u"]
 	if target == "" {
 		return httplite.NewResponse(400, []byte("missing u parameter"))
@@ -220,29 +219,4 @@ func (d *Directory) handlePeers(req *httplite.Request) *httplite.Response {
 	resp := httplite.NewResponse(200, body)
 	resp.Set("Content-Type", "application/json")
 	return resp
-}
-
-// queryParams parses the query string of a request path.
-func queryParams(path string) map[string]string {
-	out := make(map[string]string)
-	i := -1
-	for j := 0; j < len(path); j++ {
-		if path[j] == '?' {
-			i = j
-			break
-		}
-	}
-	if i < 0 {
-		return out
-	}
-	values, err := url.ParseQuery(path[i+1:])
-	if err != nil {
-		return out
-	}
-	for k, vs := range values {
-		if len(vs) > 0 {
-			out[k] = vs[0]
-		}
-	}
-	return out
 }

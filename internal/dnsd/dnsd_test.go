@@ -123,8 +123,8 @@ func TestFullResolutionChain(t *testing.T) {
 		if got := sim.Now().Sub(start); got != 2*time.Millisecond {
 			t.Errorf("warm resolution took %v, want 2ms", got)
 		}
-		if fx.fwd.Hits != 1 || fx.fwd.Misses != 1 {
-			t.Errorf("forwarder hits=%d misses=%d", fx.fwd.Hits, fx.fwd.Misses)
+		if hits, misses := fx.fwd.CacheStats(); hits != 1 || misses != 1 {
+			t.Errorf("forwarder hits=%d misses=%d", hits, misses)
 		}
 	})
 	sim.Shutdown()
@@ -151,8 +151,8 @@ func TestForwarderCacheExpires(t *testing.T) {
 			t.Errorf("query2: %v", err)
 			return
 		}
-		if fx.fwd.Misses != 2 {
-			t.Errorf("misses = %d, want 2 (TTL expiry forces re-resolution)", fx.fwd.Misses)
+		if _, misses := fx.fwd.CacheStats(); misses != 2 {
+			t.Errorf("misses = %d, want 2 (TTL expiry forces re-resolution)", misses)
 		}
 	})
 }

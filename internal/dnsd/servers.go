@@ -2,6 +2,7 @@ package dnsd
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"apecache/internal/dnswire"
@@ -317,16 +318,15 @@ type Forwarder struct {
 	host     transport.Host
 	rng      interface{ Intn(int) int }
 	upstream transport.Addr
-	// mu guards the cache, counters and rng against concurrent handler
-	// tasks.
+	// mu guards the cache and rng against concurrent handler tasks.
 	mu    sync.Mutex
 	cache map[string]cacheEntry
+	// hits and misses count cache outcomes.
+	hits, misses atomic.Int64
 	// ProcessingDelay models dnsmasq handling cost per query.
 	ProcessingDelay time.Duration
 	// QueryTimeout bounds upstream exchanges.
 	QueryTimeout time.Duration
-	// Hits and Misses count cache outcomes.
-	Hits, Misses int
 }
 
 var _ Handler = (*Forwarder)(nil)
@@ -342,12 +342,10 @@ func NewForwarder(env vclock.Env, host transport.Host, rng interface{ Intn(int) 
 	}
 }
 
-// CacheStats returns the hit/miss counters under the lock (telemetry
-// gauges and status snapshots read them while handlers run).
+// CacheStats returns the hit/miss counters (telemetry gauges and status
+// snapshots read them while handlers run).
 func (f *Forwarder) CacheStats() (hits, misses int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.Hits, f.Misses
+	return int(f.hits.Load()), int(f.misses.Load())
 }
 
 // LookupCached returns the cached answers for name if fresh.
@@ -401,15 +399,11 @@ func (f *Forwarder) HandleDNS(_ transport.Addr, query *dnswire.Message) *dnswire
 	q := query.FirstQuestion()
 	resp := query.Reply()
 	if answers, ok := f.LookupCached(q.Name); ok {
-		f.mu.Lock()
-		f.Hits++
-		f.mu.Unlock()
+		f.hits.Add(1)
 		resp.Answers = append(resp.Answers, answers...)
 		return resp
 	}
-	f.mu.Lock()
-	f.Misses++
-	f.mu.Unlock()
+	f.misses.Add(1)
 	answers, rcode, err := f.ResolveUpstream(q.Name)
 	if err != nil {
 		resp.Header.RCode = dnswire.RCodeServerFailure

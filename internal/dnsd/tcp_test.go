@@ -18,10 +18,13 @@ type bigHandler struct {
 
 func (b *bigHandler) HandleDNS(_ transport.Addr, query *dnswire.Message) *dnswire.Message {
 	resp := query.Reply()
+	name := dnswire.CanonicalName(query.FirstQuestion().Name)
 	for i := range b.records {
-		resp.Answers = append(resp.Answers,
-			dnswire.NewTXT(query.FirstQuestion().Name, 60,
-				fmt.Sprintf("record-%04d-%s", i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")))
+		text := fmt.Sprintf("record-%04d-%s", i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
+		resp.Answers = append(resp.Answers, dnswire.RR{
+			Name: name, Type: dnswire.TypeTXT, Class: dnswire.ClassIN, TTL: 60,
+			Data: append([]byte{byte(len(text))}, text...),
+		})
 	}
 	return resp
 }

@@ -43,3 +43,9 @@ func TestTraceIDAbsent(t *testing.T) {
 		t.Error("zero trace ID accepted")
 	}
 }
+
+func BenchmarkHashURL(b *testing.B) {
+	for b.Loop() {
+		HashURL("http://api.movietrailer.example/thumbnail")
+	}
+}

@@ -30,6 +30,12 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// newTXT builds a single-string TXT record (text under 256 bytes).
+func newTXT(name string, ttl uint32, text string) RR {
+	data := append([]byte{byte(len(text))}, text...)
+	return RR{Name: CanonicalName(name), Type: TypeTXT, Class: ClassIN, TTL: ttl, Data: data}
+}
+
 func TestResponseWithAllSectionsRoundTrips(t *testing.T) {
 	q := NewQuery(7, "www.apple.com", TypeA)
 	r := q.Reply()
@@ -39,7 +45,7 @@ func TestResponseWithAllSectionsRoundTrips(t *testing.T) {
 	)
 	r.Authority = append(r.Authority, NewCNAME("apple.com", 600, "ns.apple.com"))
 	r.Additional = append(r.Additional,
-		NewTXT("meta.apple.com", 60, "hello world"),
+		newTXT("meta.apple.com", 60, "hello world"),
 		NewOPT(4096),
 	)
 	wire, err := r.Encode()
@@ -148,7 +154,7 @@ func TestRoundTripPropertyRandomMessages(t *testing.T) {
 			case 1:
 				m.Answers = append(m.Answers, NewCNAME(randName(), uint32(rng.Intn(3600)), randName()))
 			default:
-				m.Additional = append(m.Additional, NewTXT(randName(), 60, randName()))
+				m.Additional = append(m.Additional, newTXT(randName(), 60, randName()))
 			}
 		}
 		wire, err := m.Encode()

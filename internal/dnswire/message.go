@@ -241,15 +241,6 @@ func NewCNAME(name string, ttl uint32, target string) RR {
 	return RR{Name: CanonicalName(name), Type: TypeCNAME, Class: ClassIN, TTL: ttl, Data: data}
 }
 
-// NewTXT constructs a single-string TXT record.
-func NewTXT(name string, ttl uint32, text string) RR {
-	if len(text) > 255 {
-		text = text[:255]
-	}
-	data := append([]byte{byte(len(text))}, text...)
-	return RR{Name: CanonicalName(name), Type: TypeTXT, Class: ClassIN, TTL: ttl, Data: data}
-}
-
 // NewOPT constructs an EDNS(0) OPT pseudo-record advertising the given UDP
 // payload size (RFC 6891: the CLASS field carries the size).
 func NewOPT(udpSize uint16) RR {

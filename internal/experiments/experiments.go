@@ -2,8 +2,7 @@
 // evaluation. Each experiment builds the necessary testbeds on the
 // virtual-clock simulator, replays the §V-A workload, and renders a text
 // table next to the paper's published values so shape deviations are
-// visible at a glance. cmd/apebench is the CLI front end; bench_test.go
-// wraps each experiment in a testing.B benchmark.
+// visible at a glance. cmd/apebench is the CLI front end.
 package experiments
 
 import (
@@ -128,7 +127,7 @@ func orderKey(id string) string {
 		"fig12": "10", "fig13a": "11", "fig13b": "12", "fig13c": "13",
 		"fig14": "14", "table7": "15", "coherence": "16",
 		"fleet-health": "17", "coop": "18", "fleet-storm": "19",
-		"explain": "20",
+		"explain": "20", "ablations": "21",
 	}
 	if k, ok := order[id]; ok {
 		return k

@@ -19,7 +19,7 @@ func TestRegistryIsComplete(t *testing.T) {
 		"table4", "table5", "table6",
 		"fig12", "fig13a", "fig13b", "fig13c",
 		"fig14", "table7", "coherence",
-		"fleet-health", "coop", "fleet-storm", "explain",
+		"fleet-health", "coop", "fleet-storm", "explain", "ablations",
 	}
 	all := All()
 	if len(all) != len(want) {

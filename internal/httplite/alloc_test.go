@@ -8,6 +8,7 @@ package httplite
 
 import (
 	"io"
+	"net/url"
 	"testing"
 )
 
@@ -46,5 +47,17 @@ func TestMuxRouteAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = mux.ServeHTTP(req) }); allocs > 0 {
 		t.Errorf("Mux.ServeHTTP allocates %.1f times per request, want 0", allocs)
+	}
+}
+
+// TestQueryParamsAllocBudget: parsing a /cache hit's query string costs
+// the result map and the unescaped URL, not url.Values besides.
+func TestQueryParamsAllocBudget(t *testing.T) {
+	path := "/cache?u=" + url.QueryEscape("http://api.movie.example/clip/3") + "&app=movie"
+	if got := QueryParams(path); got["u"] != "http://api.movie.example/clip/3" || got["app"] != "movie" {
+		t.Fatalf("QueryParams(%q) = %q", path, got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = QueryParams(path) }); allocs > 3 {
+		t.Errorf("QueryParams allocates %.1f times per /cache path, want at most 3", allocs)
 	}
 }

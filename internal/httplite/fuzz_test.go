@@ -3,6 +3,7 @@ package httplite
 import (
 	"bufio"
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,31 @@ func FuzzReadResponse(f *testing.F) {
 		}
 		if again.Status != resp.Status || !bytes.Equal(again.Body, resp.Body) {
 			t.Fatalf("round trip drift")
+		}
+	})
+}
+
+// FuzzQueryParams: QueryParams returns the reference's map for any path.
+func FuzzQueryParams(f *testing.F) {
+	for _, path := range []string{
+		"/cache?u=http%3A%2F%2Fapi.movie.example%2Fclip%2F3&app=movie",
+		"/cache?u=http://api.example/obj&app=demo",
+		"/cache?u=a&u=b&app=x&app=",   // duplicate keys: the first value wins
+		"/cache?u=a;b&app=x",          // semicolon separator
+		"/cache?app=x&u=%zz",          // bad escape after a good pair
+		"/cache?u=a+b&app=c%20d",      // plus and percent-encoded space
+		"/cache?=v&k=&&k2&%41=%42",    // empty key, empty value, empty pair, bare key
+		"/cache?u=%E4%B8%AD&app=\xff", // non-ASCII, invalid UTF-8
+		"/cache?u=x#frag",
+		"/cache?",
+		"/cache",
+		"?%",
+	} {
+		f.Add(path)
+	}
+	f.Fuzz(func(t *testing.T, path string) {
+		if got, want := QueryParams(path), referenceQueryParams(path); !maps.Equal(got, want) {
+			t.Fatalf("QueryParams(%q) = %q, reference %q", path, got, want)
 		}
 	})
 }

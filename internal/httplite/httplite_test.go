@@ -313,3 +313,14 @@ func TestMalformedRequestGets400(t *testing.T) {
 		}
 	})
 }
+
+func BenchmarkWriteResponse(b *testing.B) {
+	resp := NewResponse(200, make([]byte, 50<<10))
+	var buf strings.Builder
+	for b.Loop() {
+		buf.Reset()
+		if err := WriteResponse(&buf, resp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

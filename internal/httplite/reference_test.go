@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -127,4 +128,35 @@ func compareWrites(t *testing.T, what string, got, want [][]byte) {
 			t.Errorf("%s: write %d = %.120q, reference %.120q", what, i, got[i], want[i])
 		}
 	}
+}
+
+// referenceQueryParams is the url.ParseQuery-based parser that the
+// scanning QueryParams replaced, verbatim apart from its name, kept as the
+// reference FuzzQueryParams holds the production parser to.
+
+func referenceQueryParams(path string) map[string]string {
+	out := make(map[string]string)
+	i := indexByte(path, '?')
+	if i < 0 {
+		return out
+	}
+	values, err := url.ParseQuery(path[i+1:])
+	if err != nil {
+		return out
+	}
+	for k, vs := range values {
+		if len(vs) > 0 {
+			out[k] = vs[0]
+		}
+	}
+	return out
+}
+
+func indexByte(s string, b byte) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == b {
+			return i
+		}
+	}
+	return -1
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"net/url"
 	"slices"
 	"sort"
 	"strings"
@@ -70,6 +71,38 @@ func (m *Mux) ServeHTTP(req *Request) *Response {
 		}
 	}
 	return NewResponse(404, []byte("not found"))
+}
+
+// QueryParams parses the query string of a request path with
+// url.ParseQuery's rules, without the url.Values it builds: the first
+// value of a key wins, and a semicolon or a bad escape anywhere empties
+// the result.
+func QueryParams(path string) map[string]string {
+	out := make(map[string]string)
+	_, query, ok := strings.Cut(path, "?")
+	if !ok {
+		return out
+	}
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err == nil {
+			v, err = url.QueryUnescape(v)
+		}
+		if err != nil || strings.Contains(pair, ";") {
+			clear(out)
+			return out
+		}
+		if _, seen := out[k]; !seen {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 // Server serves HTTP over a transport listener with keep-alive

@@ -72,15 +72,10 @@ func (o *Object) ETag() string { return coherence.FormatETag(o.CurrentVersion())
 // both from it.
 func (o *Object) CurrentVersion() int64 { return atomic.LoadInt64(&o.Version) }
 
-// BodyFor generates the deterministic payload for any url/size pair at
-// version 0.
-func BodyFor(url string, size int) []byte { return VersionedBody(url, size, 0) }
-
 // VersionedBody generates the deterministic payload for a url/size pair
-// at a given origin version. Version 0 matches BodyFor, so unversioned
-// callers are unaffected; any other version produces different bytes,
-// which is what lets the coherence experiments detect a stale serve by
-// comparing payloads.
+// at a given origin version. Version 0 is an unmutated object's body; any
+// other version produces different bytes, which is what lets the
+// coherence experiments detect a stale serve by comparing payloads.
 func VersionedBody(url string, size int, version int64) []byte {
 	if size <= 0 {
 		return nil

@@ -19,22 +19,22 @@ func obj(url, app string, size int, prio int, delay time.Duration) *Object {
 }
 
 func TestBodyDeterministicAndURLUnique(t *testing.T) {
-	a := BodyFor("http://x/a", 1024)
-	b := BodyFor("http://x/a", 1024)
-	c := BodyFor("http://x/b", 1024)
+	a := VersionedBody("http://x/a", 1024, 0)
+	b := VersionedBody("http://x/a", 1024, 0)
+	c := VersionedBody("http://x/b", 1024, 0)
 	if !bytes.Equal(a, b) {
 		t.Error("body not deterministic")
 	}
 	if bytes.Equal(a, c) {
 		t.Error("different URLs share a body")
 	}
-	if len(BodyFor("u", 0)) != 0 {
+	if len(VersionedBody("u", 0, 0)) != 0 {
 		t.Error("zero size should give empty body")
 	}
 }
 
 func TestBodySizeProperty(t *testing.T) {
-	f := func(n uint16) bool { return len(BodyFor("u", int(n))) == int(n) }
+	f := func(n uint16) bool { return len(VersionedBody("u", int(n), 0)) == int(n) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,8 @@ func TestOriginUnknownObject404(t *testing.T) {
 }
 
 func TestVersionedBodyBackwardCompatible(t *testing.T) {
-	if !bytes.Equal(VersionedBody("http://x/a", 512, 0), BodyFor("http://x/a", 512)) {
-		t.Error("version 0 body differs from BodyFor")
+	if !bytes.Equal(obj("http://x/a", "app", 512, PriorityLow, 0).Body(), VersionedBody("http://x/a", 512, 0)) {
+		t.Error("an unmutated object's body differs from version 0")
 	}
 	if bytes.Equal(VersionedBody("http://x/a", 512, 1), VersionedBody("http://x/a", 512, 0)) {
 		t.Error("mutated version shares the old body")
@@ -326,5 +326,12 @@ func TestCatalogConcurrentMutate(t *testing.T) {
 	wg.Wait()
 	if v, _ := catalog.Mutate(a.URL); v != 201 {
 		t.Errorf("version after 201 mutations = %d", v)
+	}
+}
+
+func BenchmarkVersionedBody(b *testing.B) {
+	b.SetBytes(100 << 10)
+	for b.Loop() {
+		VersionedBody("http://x.example/o", 100<<10, 0)
 	}
 }

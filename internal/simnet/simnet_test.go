@@ -343,3 +343,57 @@ func TestLoopbackPath(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkEcho measures virtual-time round trips per wall second, the
+// simulator's core throughput.
+func BenchmarkEcho(b *testing.B) {
+	sim := vclock.NewSim(time.Time{})
+	net := New(sim, 1)
+	net.SetLink("a", "b", Path{Latency: time.Millisecond})
+	sim.Run("bench", func() {
+		l, err := net.Node("b").Listen(80)
+		if err != nil {
+			b.Errorf("listen: %v", err)
+			return
+		}
+		sim.Go("echo", func() {
+			for {
+				s, err := l.Accept()
+				if err != nil {
+					return
+				}
+				sim.Go("conn", func() {
+					buf := make([]byte, 256)
+					for {
+						n, err := s.Read(buf)
+						if err != nil {
+							return
+						}
+						if _, err := s.Write(buf[:n]); err != nil {
+							return
+						}
+					}
+				})
+			}
+		})
+		c, err := net.Node("a").Dial(transport.Addr{Host: "b", Port: 80})
+		if err != nil {
+			b.Errorf("dial: %v", err)
+			return
+		}
+		buf := make([]byte, 256)
+		b.ResetTimer()
+		for b.Loop() {
+			if _, err := c.Write([]byte("ping")); err != nil {
+				b.Errorf("write: %v", err)
+				return
+			}
+			if _, err := c.Read(buf); err != nil {
+				b.Errorf("read: %v", err)
+				return
+			}
+		}
+	})
+	sim.Shutdown()
+	sim.Wait()
+}

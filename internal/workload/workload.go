@@ -147,15 +147,6 @@ func Generate(cfg GeneratorConfig) *Suite {
 	return assembleSuite(apps, cfg)
 }
 
-// GenerateSyntheticSuite builds a suite of only synthetic apps (used by
-// the sweeps where app quantity is the controlled variable).
-func GenerateSyntheticSuite(cfg GeneratorConfig) *Suite {
-	cfg.applyDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	apps := GenerateSynthetic(cfg, rng)
-	return assembleSuite(apps, cfg)
-}
-
 // GenerateSynthetic builds cfg.NumApps dummy apps with randomized DAGs in
 // the shape the paper's generator produces: a root identifier request
 // fanning out to 2–5 concurrent detail requests, occasionally with a

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -133,10 +134,18 @@ type instantFetcher struct{}
 
 func (instantFetcher) Get(string) ([]byte, error) { return []byte("x"), nil }
 
+// generateSyntheticSuite builds a suite of only synthetic apps.
+func generateSyntheticSuite(cfg GeneratorConfig) *Suite {
+	cfg.applyDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	apps := GenerateSynthetic(cfg, rng)
+	return assembleSuite(apps, cfg)
+}
+
 func TestRunExecutesAtConfiguredRate(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	var res *RunResult
-	suite := GenerateSyntheticSuite(GeneratorConfig{NumApps: 5, AvgFreq: 3, Seed: 3})
+	suite := generateSyntheticSuite(GeneratorConfig{NumApps: 5, AvgFreq: 3, Seed: 3})
 	sim.Run("main", func() {
 		res = Run(sim, suite, func(*appmodel.App) appmodel.Fetcher { return instantFetcher{} },
 			20*time.Minute, 99)
