@@ -102,11 +102,11 @@ const (
 // "swr") to a CoherenceMode.
 func ParseCoherenceMode(s string) (CoherenceMode, error) { return coherence.ParseMode(s) }
 
-// Telemetry bundles a process's metrics registry, request tracer and
-// event log; see internal/telemetry. Every server that accepts one
-// registers its instruments on the shared registry, and Register mounts
-// the exposition endpoints (/metrics, /debug/vars, /debug/pprof, /trace,
-// /events) on a daemon's HTTP mux.
+// Telemetry bundles a process's metrics registry and request tracer;
+// see internal/telemetry. Every server that accepts one registers its
+// instruments on the shared registry, and Register mounts the exposition
+// endpoints (/metrics, /debug/vars, /debug/pprof, /trace) on a daemon's
+// HTTP mux.
 type Telemetry = telemetry.Telemetry
 
 // NewTelemetry builds a telemetry bundle on env's clock.

@@ -44,7 +44,6 @@ func main() {
 		mesh     = flag.String("mesh", "", "mesh directory (Wi-Cache controller) host:port for cooperative peer fetch (empty: disabled)")
 		meshIntv = flag.Duration("mesh-interval", 5*time.Second, "content summary publish cadence (with -mesh)")
 		decLog   = flag.Bool("decision-log", false, "record a cache decision ledger and serve /explain (apectl explain)")
-		decCap   = flag.Int("decision-log-cap", 0, "decision ledger ring capacity in events (0: default 4096)")
 	)
 	flag.Parse()
 	var domains []string
@@ -53,13 +52,13 @@ func main() {
 			domains = append(domains, d)
 		}
 	}
-	if err := run(*ip, uint16(*dnsPort), uint16(*httpPort), *upstream, *edge, *cacheMB, *policy, *cohMode, *busFlag, *fleet, *snapIntv, *node, *mesh, *meshIntv, *purgeB, domains, *decLog, *decCap); err != nil {
+	if err := run(*ip, uint16(*dnsPort), uint16(*httpPort), *upstream, *edge, *cacheMB, *policy, *cohMode, *busFlag, *fleet, *snapIntv, *node, *mesh, *meshIntv, *purgeB, domains, *decLog); err != nil {
 		fmt.Fprintln(os.Stderr, "aped:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ip string, dnsPort, httpPort uint16, upstream, edge string, cacheMB int64, policyName, cohMode, bus, fleet string, snapIntv time.Duration, node, mesh string, meshIntv time.Duration, purgeBatch bool, purgeDomains []string, decisionLog bool, decisionLogCap int) error {
+func run(ip string, dnsPort, httpPort uint16, upstream, edge string, cacheMB int64, policyName, cohMode, bus, fleet string, snapIntv time.Duration, node, mesh string, meshIntv time.Duration, purgeBatch bool, purgeDomains []string, decisionLog bool) error {
 	upstreamAddr, err := transport.ParseAddr(upstream)
 	if err != nil {
 		return fmt.Errorf("bad -upstream: %w", err)
@@ -125,7 +124,6 @@ func run(ip string, dnsPort, httpPort uint16, upstream, edge string, cacheMB int
 		MeshAddr:         meshAddr,
 		MeshInterval:     meshIntv,
 		DecisionLog:      decisionLog,
-		DecisionLogCap:   decisionLogCap,
 	})
 	if err := ap.Start(); err != nil {
 		return err
@@ -133,7 +131,7 @@ func run(ip string, dnsPort, httpPort uint16, upstream, edge string, cacheMB int
 	defer ap.Stop()
 	fmt.Printf("aped: DNS on %s, HTTP on %s, %d MiB %s cache, upstream %s, edge %s, coherence %s\n",
 		ap.DNSAddr(), ap.HTTPAddr(), cacheMB, policyName, upstreamAddr, edgeAddr, mode)
-	fmt.Printf("aped: telemetry on %s/metrics, /debug/vars, /debug/pprof, /trace, /events\n", ap.HTTPAddr())
+	fmt.Printf("aped: telemetry on %s/metrics, /debug/vars, /debug/pprof, /trace\n", ap.HTTPAddr())
 	if !fleetAddr.IsZero() {
 		fmt.Printf("aped: pushing telemetry snapshots to %s every %s\n", fleetAddr, snapIntv)
 	}

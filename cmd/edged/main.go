@@ -114,7 +114,7 @@ func run(ip string, edgePort, originPort, fleetPort uint16, domains []string, pe
 		fmt.Printf("edged: sharded purge fan-out: %d shards, %d workers, flush %v, batches up to %d (stats at %s)\n",
 			cfg.Shards, coherence.DefaultWorkers, cfg.FlushInterval, cfg.MaxBatch, coherence.PathStats)
 	}
-	fmt.Printf("edged: telemetry on %s/metrics, /debug/vars, /debug/pprof, /trace, /events\n", edgeL.Addr())
+	fmt.Printf("edged: telemetry on %s/metrics, /debug/vars, /debug/pprof, /trace\n", edgeL.Addr())
 	if fleetPort != 0 {
 		ctl := wicache.NewController(env, host)
 		ctl.Instrument(tel)

@@ -131,9 +131,6 @@ type Config struct {
 	// metric families are registered and no wire bytes change, so
 	// experiment outputs stay bit-identical.
 	DecisionLog bool
-	// DecisionLogCap overrides the ledger's event-ring capacity
-	// (decisionlog.DefaultCapacity when zero).
-	DecisionLogCap int
 }
 
 // AP is a running APE-CACHE access point.
@@ -213,7 +210,7 @@ func New(cfg Config) *AP {
 	}
 	ap.tel = newAPTel(cfg.Telemetry, ap)
 	if cfg.DecisionLog {
-		ap.ledger = decisionlog.New(cfg.DecisionLogCap)
+		ap.ledger = decisionlog.New(decisionlog.DefaultCapacity)
 		store.AttachLedger(ap.ledger)
 		// Miss-cause counters exist only when the ledger does (like the
 		// mesh instruments): ledger-off APs register zero new families
@@ -573,8 +570,6 @@ func (ap *AP) handleDelegate(req *httplite.Request) *httplite.Response {
 	}
 	outcome = "edge"
 	ap.tel.delegationSecs.ObserveDuration(fetchLatency)
-	ap.cfg.Telemetry.Emit("delegate", "url", basic, "app", app,
-		"bytes", len(edgeResp.Body), "latency", fetchLatency)
 	ap.account(OpDelegation, len(edgeResp.Body))
 
 	version, _ := coherence.ParseETag(edgeResp.Get("ETag"))

@@ -207,8 +207,6 @@ func (ap *AP) tryPeerFetch(basic, app string, priority int, trace telemetry.Trac
 		ap.peerHits.Inc()
 		ap.peerBytes.Add(int64(len(resp.Body)))
 		ap.mtel.peerSecs.ObserveDuration(rtt)
-		ap.cfg.Telemetry.Emit("peer-fetch", "url", basic, "peer", c.Node,
-			"bytes", len(resp.Body), "latency", rtt)
 		out := httplite.NewResponse(200, resp.Body)
 		out.Set("X-Ape-Source", "ap-peer")
 		return out, true

@@ -56,7 +56,6 @@ func (s *Store) Purge(url string, version int64, gone, keepStale bool) (resident
 		return false, false
 	}
 	s.purges++
-	s.tel.purge(url, gone)
 	if s.ledger != nil {
 		// Captured before the entry is marked stale or removed: this is
 		// the pre-purge utility standing `apectl explain` renders.
@@ -70,7 +69,7 @@ func (s *Store) Purge(url string, version int64, gone, keepStale bool) (resident
 		return true, true
 	}
 	s.removeEntry(url)
-	s.tel.evicted(url, "purged")
+	s.tel.evictedByPurge()
 	return true, false
 }
 
@@ -92,7 +91,6 @@ func (s *Store) GetStale(url string) (*Entry, bool) {
 	e.LastUsed = now
 	e.Hits++
 	s.staleServes.Inc()
-	s.tel.event("stale-serve", url)
 	if s.ledger != nil {
 		s.ledger.Record(s.ledgerEvent(decisionlog.OpStaleServe, e, now))
 	}
@@ -146,8 +144,7 @@ func (s *Store) MarkGone(url string) {
 		}
 		s.removeEntry(url)
 		s.purges++
-		s.tel.purge(url, true)
-		s.tel.evicted(url, "purged")
+		s.tel.evictedByPurge()
 	} else if s.ledger != nil {
 		s.ledger.Record(decisionlog.Event{Time: s.clock.Now(),
 			Op: decisionlog.OpPurge, URL: url, Gone: true})

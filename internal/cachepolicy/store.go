@@ -394,7 +394,6 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 		s.blocklist[obj.URL] = struct{}{}
 		s.indexKnown(obj.Hash(), obj.URL)
 		s.blocked.Inc()
-		s.tel.event("blocked", obj.URL)
 		if s.ledger != nil {
 			s.ledger.Record(decisionlog.Event{Time: now, Op: decisionlog.OpRejectBlocked,
 				URL: obj.URL, App: obj.App, Size: size, Version: obj.Version, Priority: obj.Priority})
@@ -406,7 +405,6 @@ func (s *Store) Put(obj *objstore.Object, data []byte, fetchLatency time.Duratio
 		// stale, so caching them would resurrect exactly what the origin
 		// invalidated.
 		s.staleDrops.Inc()
-		s.tel.event("stale-drop", obj.URL)
 		if s.ledger != nil {
 			s.ledger.Record(decisionlog.Event{Time: now, Op: decisionlog.OpRejectStale,
 				URL: obj.URL, App: obj.App, Size: size, Version: obj.Version, Priority: obj.Priority})
@@ -537,7 +535,6 @@ func (s *Store) dropExpiredLocked(now time.Time) int {
 		}
 		s.removeEntry(top.url)
 		s.expired.Inc()
-		s.tel.evicted(top.url, "expired")
 		dropped++
 	}
 	return dropped
@@ -590,7 +587,6 @@ func (s *Store) makeRoom(incoming *Entry) {
 		}
 		s.removeEntry(v.Object.URL)
 		s.evictions.Inc()
-		s.tel.evicted(v.Object.URL, "capacity")
 		need -= v.Size()
 	}
 	clear(entries) // hold no evicted entry until the next admission
@@ -620,7 +616,6 @@ func (s *Store) makeRoom(incoming *Entry) {
 			}
 			s.removeEntry(e.Object.URL)
 			s.evictions.Inc()
-			s.tel.evicted(e.Object.URL, "capacity")
 		}
 	}
 }

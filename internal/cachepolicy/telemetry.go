@@ -10,8 +10,6 @@ import (
 // uninstrumented default) makes every hook a no-op branch, keeping the
 // read path unchanged for stores created outside a daemon.
 type storeTel struct {
-	tel *telemetry.Telemetry
-
 	hits   *telemetry.Counter
 	misses *telemetry.Counter
 
@@ -21,15 +19,14 @@ type storeTel struct {
 
 // Instrument registers the store's metrics on tel under the given name
 // prefix (e.g. "apcache" → apcache_store_lookups_total), attaching the
-// store's own management counters, and turns on eviction/purge event
-// logging. Call once, before serving traffic.
+// store's own management counters. Call once, before serving traffic.
 //
 // Hot-path cost is deliberately minimal: Get adds exactly one atomic
 // increment; everything richer (gauges, per-app efficiency, Gini) is
 // computed at exposition time from a snapshot.
 func (s *Store) Instrument(tel *telemetry.Telemetry, prefix string) {
 	m := tel.Metrics
-	t := &storeTel{tel: tel}
+	t := &storeTel{}
 	t.hits = m.LabeledCounter(prefix+"_store_lookups_total", telemetry.LabelPair("result", "hit"), "store Get results")
 	t.misses = m.LabeledCounter(prefix+"_store_lookups_total", telemetry.LabelPair("result", "miss"), "store Get results")
 	m.Attach(prefix+"_store_insertions_total", "", "objects admitted", &s.insertions)
@@ -88,32 +85,13 @@ func (t *storeTel) lookup(hit bool) {
 	}
 }
 
-// evicted logs one eviction; cause is "capacity", "expired" or
-// "purged". Purged evictions are counted here: StoreStats.Purged also
-// counts the stale-while-revalidate copies a purge keeps.
-func (t *storeTel) evicted(url, cause string) {
-	if t == nil {
-		return
-	}
-	if cause == "purged" {
+// evictedByPurge counts one purge that removed a resident copy. It is
+// counted here because StoreStats.Purged also counts the
+// stale-while-revalidate copies a purge keeps.
+func (t *storeTel) evictedByPurge() {
+	if t != nil {
 		t.evictPurged.Inc()
 	}
-	t.tel.Emit("evict", "url", url, "cause", cause)
-}
-
-// event logs one store event about url ("blocked", "stale-drop",
-// "stale-serve").
-func (t *storeTel) event(name, url string) {
-	if t != nil {
-		t.tel.Emit(name, "url", url)
-	}
-}
-
-func (t *storeTel) purge(url string, gone bool) {
-	if t == nil {
-		return
-	}
-	t.tel.Emit("purge", "url", url, "gone", gone)
 }
 
 // AppStorage is one app's slice of the cache in a StorageReport: how

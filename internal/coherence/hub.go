@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"encoding/json"
-	"sync/atomic"
 
 	"apecache/internal/httplite"
 	"apecache/internal/telemetry"
@@ -34,11 +33,9 @@ type Hub struct {
 	// the wire batching).
 	published telemetry.Counter
 	relayed   telemetry.Counter
-	tel       atomic.Pointer[telemetry.Telemetry]
 }
 
-// Instrument registers the bus counters and a subscriber-count gauge,
-// and enables purge event logging.
+// Instrument registers the bus counters and a subscriber-count gauge.
 func (h *Hub) Instrument(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
@@ -47,7 +44,6 @@ func (h *Hub) Instrument(tel *telemetry.Telemetry) {
 	m.GaugeFunc("coherence_subscribers", "downstream caches registered on the bus", func() float64 {
 		return float64(len(h.Subscribers()))
 	})
-	h.tel.Store(tel)
 	m.Attach("coherence_published_total", "", "purge publications accepted", &h.published)
 	m.Attach("coherence_relayed_total", "", "per-subscriber purge deliveries attempted", &h.relayed)
 }
@@ -170,6 +166,5 @@ func (h *Hub) handlePublish(req *httplite.Request) *httplite.Response {
 	n := h.dispatch.Publish(msg)
 	h.published.Inc()
 	h.relayed.Add(int64(n))
-	h.tel.Load().Emit("purge", "url", msg.URL, "version", msg.Version, "gone", msg.Gone, "subscribers", n)
 	return httplite.NewResponse(200, nil)
 }

@@ -16,10 +16,9 @@
 // the test harness and the `explain` experiment prove it.
 //
 // The ledger is bounded on every axis: the event ring overwrites oldest
-// first, the per-URL history index is pruned as its events are
-// overwritten (so it never indexes more than the ring's distinct URLs),
-// and the per-domain recency index keeps a fixed number of sequence
-// numbers per domain, validated lazily against the ring on read.
+// first, and the per-URL history index keeps a fixed number of sequence
+// numbers per URL and is pruned as its events are overwritten (so it
+// never indexes more than the ring's distinct URLs).
 package decisionlog
 
 import (
@@ -164,33 +163,22 @@ const DefaultCapacity = 4096
 // Explain and classification.
 const urlHistCap = 8
 
-// domainRingCap bounds the per-domain recency index.
-const domainRingCap = 64
-
 // urlHist is the bounded per-URL event index: the seqs of the URL's
 // most recent decisions, oldest first.
 type urlHist struct {
 	seqs []uint64
 }
 
-// domainRing is the bounded per-domain recency index. Entries are
-// validated lazily against the event ring on read, so overwritten seqs
-// cost nothing until queried.
-type domainRing struct {
-	seqs []uint64
-}
-
 // Ledger is the bounded decision ledger. All methods are safe for
 // concurrent use; the write path takes one mutex and performs no
-// allocation once a URL and its domain have been seen. Classification
-// and probing only read under the lock, so concurrent store readers
-// (Get holds the store's read lock) classify without serializing.
+// allocation once a URL has been seen. Classification and probing only
+// read under the lock, so concurrent store readers (Get holds the
+// store's read lock) classify without serializing.
 type Ledger struct {
-	mu      sync.RWMutex
-	events  []Event             // ring; slot for seq s is (s-1) % cap
-	seq     uint64              // last assigned seq (0 = empty)
-	byURL   map[uint64]*urlHist // keyed by dnswire.HashURL
-	domains map[string]*domainRing
+	mu     sync.RWMutex
+	events []Event             // ring; slot for seq s is (s-1) % cap
+	seq    uint64              // last assigned seq (0 = empty)
+	byURL  map[uint64]*urlHist // keyed by dnswire.HashURL
 
 	counts [NumCauses]atomic.Uint64
 	total  atomic.Uint64
@@ -203,9 +191,8 @@ func New(capacity int) *Ledger {
 		capacity = DefaultCapacity
 	}
 	return &Ledger{
-		events:  make([]Event, capacity),
-		byURL:   make(map[uint64]*urlHist),
-		domains: make(map[string]*domainRing),
+		events: make([]Event, capacity),
+		byURL:  make(map[uint64]*urlHist),
 	}
 }
 
@@ -235,7 +222,6 @@ func (l *Ledger) URLsIndexed() int {
 // event's URL must already be in basic form.
 func (l *Ledger) Record(ev Event) {
 	h := dnswire.HashURL(ev.URL)
-	domain := dnswire.URLDomain(ev.URL)
 	l.mu.Lock()
 	l.seq++
 	ev.Seq = l.seq
@@ -256,16 +242,6 @@ func (l *Ledger) Record(ev Event) {
 		hist.seqs = hist.seqs[:urlHistCap-1]
 	}
 	hist.seqs = append(hist.seqs, ev.Seq)
-	ring := l.domains[domain]
-	if ring == nil {
-		ring = &domainRing{seqs: make([]uint64, 0, domainRingCap)}
-		l.domains[domain] = ring
-	}
-	if len(ring.seqs) == domainRingCap {
-		copy(ring.seqs, ring.seqs[1:])
-		ring.seqs = ring.seqs[:domainRingCap-1]
-	}
-	ring.seqs = append(ring.seqs, ev.Seq)
 	l.mu.Unlock()
 }
 
@@ -382,37 +358,6 @@ func (l *Ledger) Explain(url string) []Event {
 		if ev := l.eventAt(s); ev != nil && ev.URL == url {
 			out = append(out, *ev)
 		}
-	}
-	return out
-}
-
-// DomainRecent returns up to max recent decisions for URLs under the
-// domain, oldest first. Overwritten index entries are skipped (and the
-// index compacted) lazily.
-func (l *Ledger) DomainRecent(domain string, max int) []Event {
-	domain = dnswire.CanonicalName(domain)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ring := l.domains[domain]
-	if ring == nil {
-		return nil
-	}
-	live := ring.seqs[:0]
-	out := make([]Event, 0, len(ring.seqs))
-	for _, s := range ring.seqs {
-		ev := l.eventAt(s)
-		if ev == nil {
-			continue
-		}
-		live = append(live, s)
-		out = append(out, *ev)
-	}
-	ring.seqs = live
-	if len(ring.seqs) == 0 {
-		delete(l.domains, domain)
-	}
-	if max > 0 && len(out) > max {
-		out = out[len(out)-max:]
 	}
 	return out
 }

@@ -124,40 +124,6 @@ func TestExplainBoundedOldestFirst(t *testing.T) {
 	}
 }
 
-func TestDomainRecent(t *testing.T) {
-	l := New(256)
-	for i := 0; i < 10; i++ {
-		l.Record(Event{Time: t0, Op: OpAdmit, URL: fmt.Sprintf("http://app1.example/o%d", i)})
-		l.Record(Event{Time: t0, Op: OpAdmit, URL: fmt.Sprintf("http://app2.example/o%d", i)})
-	}
-	ev := l.DomainRecent("app1.example", 4)
-	if len(ev) != 4 {
-		t.Fatalf("DomainRecent returned %d events, want 4", len(ev))
-	}
-	for _, e := range ev {
-		if got := e.URL[:len("http://app1.example")]; got != "http://app1.example" {
-			t.Fatalf("foreign URL in domain view: %s", e.URL)
-		}
-	}
-	if ev[3].Seq <= ev[0].Seq {
-		t.Fatal("domain view not oldest-first")
-	}
-	if got := l.DomainRecent("app9.example", 4); len(got) != 0 {
-		t.Fatalf("unknown domain returned %d events", len(got))
-	}
-}
-
-func TestDomainRecentPrunesOverwritten(t *testing.T) {
-	l := New(8)
-	for i := 0; i < 100; i++ {
-		l.Record(Event{Time: t0, Op: OpAdmit, URL: fmt.Sprintf("http://app1.example/o%d", i)})
-	}
-	ev := l.DomainRecent("app1.example", 0)
-	if len(ev) != 8 {
-		t.Fatalf("domain view has %d live events, ring cap 8", len(ev))
-	}
-}
-
 func TestConcurrentLedger(t *testing.T) {
 	l := New(128)
 	var wg sync.WaitGroup
@@ -167,15 +133,13 @@ func TestConcurrentLedger(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				url := fmt.Sprintf("http://app%d.example/o%d", g%3+1, i%50)
-				switch i % 4 {
+				switch i % 3 {
 				case 0:
 					l.Record(Event{Time: t0, Op: OpAdmit, URL: url, Expiry: t0.Add(time.Hour)})
 				case 1:
 					l.Classify(url, t0)
-				case 2:
-					l.Explain(url)
 				default:
-					l.DomainRecent("app1.example", 16)
+					l.Explain(url)
 				}
 			}
 		}(g)

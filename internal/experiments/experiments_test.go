@@ -224,6 +224,24 @@ func TestTable7CountsEffort(t *testing.T) {
 	}
 }
 
+// TestTable7RunsOutsideTheRepository renders table7 from a working
+// directory outside the source tree: the example sources are found from
+// the package's own path, not by walking up from the working directory.
+func TestTable7RunsOutsideTheRepository(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "table7.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(t.TempDir())
+	res, err := mustRun(t, "table7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Format(); got != string(want) {
+		t.Errorf("table7 outside the repository:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestCoherenceSweepSeparatesModes(t *testing.T) {
 	res, err := mustRun(t, "coherence")
 	if err != nil {

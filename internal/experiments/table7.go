@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 )
 
@@ -89,23 +90,18 @@ func runTable7(RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// findRepoRoot walks upward from the working directory to the module
-// root (the directory containing go.mod).
+// findRepoRoot locates the source tree from this file's compiled-in
+// path, so the table renders whatever the working directory is.
 func findRepoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", fmt.Errorf("table7: %w", err)
+	_, file, _, ok := runtime.Caller(0)
+	if !ok {
+		return "", fmt.Errorf("table7: no source path in the binary")
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("table7: go.mod not found above %s", dir)
-		}
-		dir = parent
+	root := filepath.Join(filepath.Dir(file), "..", "..")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		return "", fmt.Errorf("table7: source tree not found: %w", err)
 	}
+	return root, nil
 }
 
 // countMatchingLines counts lines of path satisfying match.

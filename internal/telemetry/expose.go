@@ -20,7 +20,6 @@ import (
 //	/debug/vars    expvar JSON (stdlib vars + the registry's samples)
 //	/debug/pprof/  runtime profiles (index, named profiles, ?seconds CPU)
 //	/trace         span store: ?id=<hex> for one trace, bare for an index
-//	/events        recent structured event lines
 //
 // Every daemon (aped, edged, the wicache controller) calls this on the
 // same mux that serves its application routes.
@@ -32,7 +31,6 @@ func (t *Telemetry) Register(mux *httplite.Mux) {
 	mux.HandleFunc("/debug/vars", t.handleVars)
 	mux.HandleFunc("/debug/pprof", handlePprof)
 	mux.HandleFunc("/trace", t.handleTrace)
-	mux.HandleFunc("/events", t.handleEvents)
 }
 
 func (t *Telemetry) handleMetrics(req *httplite.Request) *httplite.Response {
@@ -156,23 +154,5 @@ func (t *Telemetry) handleTrace(req *httplite.Request) *httplite.Response {
 	}
 	resp := httplite.NewResponse(200, body)
 	resp.Set("content-type", "application/json; charset=utf-8")
-	return resp
-}
-
-func (t *Telemetry) handleEvents(req *httplite.Request) *httplite.Response {
-	n := DefaultEventCapacity
-	if u, err := url.Parse(req.Path); err == nil {
-		if v, err := strconv.Atoi(u.Query().Get("n")); err == nil && v > 0 {
-			n = v
-		}
-	}
-	lines := t.Events.Recent(n)
-	var buf bytes.Buffer
-	for _, l := range lines {
-		buf.WriteString(l)
-		buf.WriteByte('\n')
-	}
-	resp := httplite.NewResponse(200, buf.Bytes())
-	resp.Set("content-type", "text/plain; charset=utf-8")
 	return resp
 }

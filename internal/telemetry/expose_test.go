@@ -112,19 +112,3 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("bad id: status=%d", resp.Status)
 	}
 }
-
-func TestEventsEndpoint(t *testing.T) {
-	tel, mux := testMux()
-	tel.Emit("purge", "url", "http://a/b")
-	resp := get(mux, "/events")
-	if resp.Status != 200 {
-		t.Fatalf("status %d", resp.Status)
-	}
-	if !strings.Contains(string(resp.Body), "event=purge url=http://a/b") {
-		t.Errorf("body = %q", resp.Body)
-	}
-	resp = get(mux, "/events?n=1")
-	if got := strings.Count(string(resp.Body), "\n"); got != 1 {
-		t.Errorf("n=1 returned %d lines", got)
-	}
-}

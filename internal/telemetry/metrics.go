@@ -1,9 +1,8 @@
 // Package telemetry is the runtime observability layer shared by every
 // daemon in the fleet: a low-overhead metrics registry (atomic counters,
 // gauges, fixed-bucket histograms), a request tracer whose IDs ride the
-// DNS-Cache RR and the HTTP fetch path, a bounded key=value event log,
-// and httplite handlers exposing all of it (Prometheus text, expvar
-// JSON, pprof).
+// DNS-Cache RR and the HTTP fetch path, and httplite handlers exposing
+// both (Prometheus text, expvar JSON, the span store) beside pprof.
 //
 // Hot-path cost is a design constraint: instruments are single atomic
 // operations, histograms are fixed-bucket (no sample slices), and every

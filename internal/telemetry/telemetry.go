@@ -6,9 +6,9 @@ import (
 	"apecache/internal/vclock"
 )
 
-// Telemetry bundles the three observability channels one daemon (or one
-// simnet testbed) carries: the metrics registry, the span tracer, and
-// the event log. Components accept a *Telemetry and register their
+// Telemetry bundles the two observability channels one daemon (or one
+// simnet testbed) carries: the metrics registry and the span tracer.
+// Components accept a *Telemetry and register their
 // instruments against Metrics at construction time.
 //
 // Telemetry never sleeps and never spawns tasks, so wiring it into a
@@ -17,7 +17,6 @@ import (
 type Telemetry struct {
 	Metrics *Registry
 	Tracer  *Tracer
-	Events  *EventLog
 
 	clock vclock.Clock
 }
@@ -28,7 +27,6 @@ func New(clock vclock.Clock) *Telemetry {
 	return &Telemetry{
 		Metrics: NewRegistry(),
 		Tracer:  NewTracer(0),
-		Events:  NewEventLog(0),
 		clock:   clock,
 	}
 }
@@ -40,14 +38,6 @@ func (t *Telemetry) Now() time.Time {
 		return time.Now()
 	}
 	return t.clock.Now()
-}
-
-// Emit logs one event line stamped with the bundle's clock.
-func (t *Telemetry) Emit(event string, kv ...any) {
-	if t == nil {
-		return
-	}
-	t.Events.Emit(t.Now(), event, kv...)
 }
 
 // Span records one finished span for the given trace; a zero trace ID

@@ -33,7 +33,7 @@ type Cluster struct {
 	// Store is the controller's fleet store (nil without the fleet plane).
 	Store *wicache.FleetStore
 	// ControllerTel is the controller's bundle: stitched traces land in
-	// its Tracer, alert transitions in its Events.
+	// its Tracer, the fleet counters in its Metrics.
 	ControllerTel *telemetry.Telemetry
 
 	APs    []*apcache.AP

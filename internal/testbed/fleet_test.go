@@ -14,8 +14,8 @@ import (
 
 // fleetRun boots a fleet, drives warm traffic for warm, optionally
 // browns out AP 7 for brownout then recovers for recover, and returns
-// the /fleet and /events response bodies plus the parsed view.
-func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Duration) (fleetBody, eventsBody string, view wicache.FleetView) {
+// the /fleet and /alerts response bodies plus the parsed view.
+func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Duration) (fleetBody, alertsBody string, view wicache.FleetView) {
 	t.Helper()
 	err := vclock.Simulate("main", func(sim *vclock.Sim) error {
 		f, err := NewFleet(sim, cfg)
@@ -37,11 +37,11 @@ func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Durati
 			return fmt.Errorf("/fleet: %v (resp %+v)", err, resp)
 		}
 		fleetBody = string(resp.Body)
-		resp, err = http.Get(ctl, ctl.Host, "/events")
+		resp, err = http.Get(ctl, ctl.Host, "/alerts")
 		if err != nil || resp.Status != 200 {
-			return fmt.Errorf("/events: %v", err)
+			return fmt.Errorf("/alerts: %v", err)
 		}
-		eventsBody = string(resp.Body)
+		alertsBody = string(resp.Body)
 		if err := json.Unmarshal([]byte(fleetBody), &view); err != nil {
 			return fmt.Errorf("parse /fleet: %w", err)
 		}
@@ -50,7 +50,7 @@ func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Durati
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fleetBody, eventsBody, view
+	return fleetBody, alertsBody, view
 }
 
 // TestFleetSixteenAPs boots the default 16-AP fleet, runs warm traffic,
@@ -100,17 +100,17 @@ func TestFleetSixteenAPs(t *testing.T) {
 }
 
 // TestFleetDeterminism runs the same brownout scenario twice and
-// demands byte-identical /fleet and /events bodies: every timestamp in
+// demands byte-identical /fleet and /alerts bodies: every timestamp in
 // the fleet pipeline must come from the virtual clock, never wall time.
 func TestFleetDeterminism(t *testing.T) {
 	cfg := FleetConfig{NumAPs: 4}
-	f1, e1, _ := fleetRun(t, cfg, 100*time.Second, 60*time.Second, 40*time.Second)
-	f2, e2, _ := fleetRun(t, cfg, 100*time.Second, 60*time.Second, 40*time.Second)
+	f1, a1, _ := fleetRun(t, cfg, 100*time.Second, 60*time.Second, 40*time.Second)
+	f2, a2, _ := fleetRun(t, cfg, 100*time.Second, 60*time.Second, 40*time.Second)
 	if f1 != f2 {
 		t.Errorf("/fleet bodies differ between identical runs:\n--- run1\n%s\n--- run2\n%s", f1, f2)
 	}
-	if e1 != e2 {
-		t.Errorf("/events bodies differ between identical runs:\n--- run1\n%s\n--- run2\n%s", e1, e2)
+	if a1 != a2 {
+		t.Errorf("/alerts bodies differ between identical runs:\n--- run1\n%s\n--- run2\n%s", a1, a2)
 	}
 }
 

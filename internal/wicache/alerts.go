@@ -2,7 +2,6 @@ package wicache
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"apecache/internal/telemetry"
@@ -250,10 +249,10 @@ func containsString(ss []string, s string) bool {
 }
 
 // evaluate recomputes burn rates and applies fire/resolve transitions,
-// emitting an event line per transition on tel (nil-safe). A series is
-// only eligible to fire once it has lived a full long window, so a cold
-// fleet's warm-up misses cannot page.
-func (e *alertEngine) evaluate(now time.Time, tel *telemetry.Telemetry) {
+// recording each in the transition history. A series is only eligible
+// to fire once it has lived a full long window, so a cold fleet's
+// warm-up misses cannot page.
+func (e *alertEngine) evaluate(now time.Time) {
 	for i := range e.slos {
 		slo := &e.slos[i]
 		for _, scope := range e.scopes {
@@ -278,18 +277,18 @@ func (e *alertEngine) evaluate(now time.Time, tel *telemetry.Telemetry) {
 				st.firing = true
 				st.since = now
 				st.lastFired = now
-				e.transition(now, st, "fire", tel)
+				e.transition(now, st, "fire")
 			case st.firing && st.shortBurn <= slo.ResolveBurn:
 				st.firing = false
 				st.since = now
 				st.lastResolved = now
-				e.transition(now, st, "resolve", tel)
+				e.transition(now, st, "resolve")
 			}
 		}
 	}
 }
 
-func (e *alertEngine) transition(now time.Time, st *alertState, event string, tel *telemetry.Telemetry) {
+func (e *alertEngine) transition(now time.Time, st *alertState, event string) {
 	e.transitions = append(e.transitions, AlertEvent{
 		Time: now, SLO: st.slo.Name, Scope: st.scope, Event: event,
 		ShortBurn: st.shortBurn, LongBurn: st.longBurn,
@@ -297,14 +296,6 @@ func (e *alertEngine) transition(now time.Time, st *alertState, event string, te
 	if len(e.transitions) > maxTransitions {
 		e.transitions = e.transitions[len(e.transitions)-maxTransitions:]
 	}
-	tel.Emit("slo-alert-"+event, "slo", st.slo.Name, "scope", st.scope,
-		"short_burn", fmtBurn(st.shortBurn), "long_burn", fmtBurn(st.longBurn))
-}
-
-// fmtBurn renders a burn rate with fixed precision so event lines are
-// stable across runs.
-func fmtBurn(v float64) string {
-	return strconv.FormatFloat(v, 'f', 2, 64)
 }
 
 // statuses returns every alert's current state, SLO declaration order

@@ -119,7 +119,7 @@ type FleetStore struct {
 }
 
 // NewFleetStore builds a fleet store; tel may be nil (no stitched
-// traces or event lines, aggregation still works).
+// traces, aggregation still works).
 func NewFleetStore(env vclock.Env, tel *telemetry.Telemetry, cfg FleetConfig) *FleetStore {
 	if cfg.SnapshotInterval <= 0 {
 		cfg.SnapshotInterval = telemetry.DefaultSnapshotInterval
@@ -155,7 +155,6 @@ func (f *FleetStore) Ingest(snap *telemetry.Snapshot) error {
 		st = &apState{name: snap.Node}
 		f.aps[snap.Node] = st
 		f.order = append(f.order, snap.Node)
-		f.tel.Emit("fleet-ap-seen", "ap", snap.Node)
 	} else if snap.Seq <= st.seq {
 		f.rejectsC.Inc()
 		return fmt.Errorf("wicache: stale snapshot for %s: seq %d <= %d", snap.Node, snap.Seq, st.seq)
@@ -241,7 +240,7 @@ func (f *FleetStore) evaluateSLOs(now time.Time) {
 		}
 		f.engine.observe(slo, FleetScope, now, fleetGood, fleetTotal)
 	}
-	f.engine.evaluate(now, f.tel)
+	f.engine.evaluate(now)
 }
 
 // View renders the current fleet state: APs in first-seen order, merged

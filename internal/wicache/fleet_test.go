@@ -99,7 +99,7 @@ func TestAlertEngineFireResolve(t *testing.T) {
 		good += 100 * (1 - errRate)
 		now := base.Add(at)
 		e.observe(&e.slos[0], FleetScope, now, good, total)
-		e.evaluate(now, nil)
+		e.evaluate(now)
 		return e.states[alertKey("err-ratio", FleetScope)]
 	}
 

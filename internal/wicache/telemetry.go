@@ -6,7 +6,7 @@ import (
 
 // Instrument attaches the controller's counters and the
 // telemetry bundle; call it before Start so the exposition endpoints
-// (/metrics, /debug/vars, /debug/pprof, /trace, /events) are mounted on
+// (/metrics, /debug/vars, /debug/pprof, /trace) are mounted on
 // the controller's mux.
 func (c *Controller) Instrument(tel *telemetry.Telemetry) {
 	if tel == nil {

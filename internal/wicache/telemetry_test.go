@@ -67,7 +67,7 @@ func TestControllerExposition(t *testing.T) {
 		}
 
 		http := httplite.NewClient(net.Node("client"))
-		for _, path := range []string{"/debug/vars", "/debug/pprof", "/events", "/trace"} {
+		for _, path := range []string{"/debug/vars", "/debug/pprof", "/trace"} {
 			resp, err := http.Get(controller.Addr(), controller.Addr().Host, path)
 			if err != nil || resp.Status != 200 {
 				t.Errorf("%s: %v (status %v)", path, err, resp)

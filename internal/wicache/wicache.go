@@ -165,8 +165,8 @@ func (c *Controller) Start(port uint16) error {
 
 // EnableFleet attaches a fleet observability store to the controller
 // and mounts /snapshot, /fleet, and /alerts when Start runs. Call it
-// before Start; call Instrument first if stitched traces and alert
-// event lines should land in the controller's telemetry bundle.
+// before Start; call Instrument first if stitched traces and the fleet
+// counters should land in the controller's telemetry bundle.
 func (c *Controller) EnableFleet(cfg FleetConfig) *FleetStore {
 	c.fleet = NewFleetStore(c.env, c.tel, cfg)
 	return c.fleet
@@ -513,15 +513,11 @@ func (s *APServer) handleChunk(req *httplite.Request) *httplite.Response {
 	if s.ProcessingDelay > 0 {
 		s.env.Sleep(s.ProcessingDelay)
 	}
-	i := len("/chunk?")
-	if len(req.Path) <= i {
-		return httplite.NewResponse(400, []byte("missing query"))
-	}
-	values, err := url.ParseQuery(req.Path[i:])
-	if err != nil || values.Get("u") == "" {
+	target := httplite.QueryParams(req.Path)["u"]
+	if target == "" {
 		return httplite.NewResponse(400, []byte("missing u"))
 	}
-	entry, ok := s.store.Get(dnswire.BasicURL(values.Get("u")))
+	entry, ok := s.store.Get(dnswire.BasicURL(target))
 	if !ok {
 		return httplite.NewResponse(404, []byte("not cached"))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -279,5 +280,33 @@ func TestControllerHandlersConcurrent(t *testing.T) {
 	wg.Wait()
 	if want := workers * rounds / 3; int(c.locates.Value()) < want-workers || int(c.purges.Value()) < want-workers {
 		t.Errorf("locates = %d, purges = %d, want about %d each", int(c.locates.Value()), int(c.purges.Value()), want)
+	}
+}
+
+// TestChunkQuery pins /chunk's query handling: a semicolon, a bad escape
+// or a missing u is a 400, and a repeated u serves the first value.
+func TestChunkQuery(t *testing.T) {
+	ap := NewAPServer(&vclock.Real{}, deadHost{}, "ap", 1<<20, transport.Addr{}, transport.Addr{})
+	obj := &objstore.Object{URL: "http://api.w.example/a", App: "w", Size: 3, TTL: time.Hour}
+	if err := ap.Store().Put(obj, []byte("abc"), 0); err != nil {
+		t.Fatal(err)
+	}
+	cached, absent := url.QueryEscape(obj.URL), url.QueryEscape("http://api.w.example/b")
+	for _, tc := range []struct {
+		path   string
+		status int
+		body   string
+	}{
+		{"/chunk?u=" + cached, 200, "abc"},
+		{"/chunk?u=" + cached + "&u=" + absent, 200, "abc"},
+		{"/chunk?u=" + absent + "&u=" + cached, 404, "not cached"},
+		{"/chunk?u=" + cached + ";x=1", 400, "missing u"},
+		{"/chunk?u=%zz", 400, "missing u"},
+		{"/chunk?app=w", 400, "missing u"},
+	} {
+		resp := ap.handleChunk(&httplite.Request{Method: "GET", Path: tc.path})
+		if resp.Status != tc.status || string(resp.Body) != tc.body {
+			t.Errorf("%s: %d %q, want %d %q", tc.path, resp.Status, resp.Body, tc.status, tc.body)
+		}
 	}
 }
