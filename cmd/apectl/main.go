@@ -14,7 +14,7 @@
 //	apectl metrics -addr 127.0.0.1:18080 -grep apcache_
 //	apectl trace -addr 127.0.0.1:18080          # list traces in the span ring
 //	apectl trace -addr 127.0.0.1:18080 3fb1c2d4e5f60708   # spans of one trace
-//	apectl fleet -addr 127.0.0.1:9090           # controller fleet view: health, latency, alerts
+//	apectl fleet -addr 127.0.0.1:9090           # edged -fleet-port fleet view: health, latency, alerts
 //	apectl alerts -addr 127.0.0.1:9090          # SLO alert states and transition history
 //	apectl peers -addr 127.0.0.1:9090           # mesh directory: published content summaries
 //	apectl bus -hub 127.0.0.1:8080              # coherence hub counters: publications, relays, queue depth, drops
@@ -38,11 +38,11 @@ import (
 	"apecache"
 	"apecache/internal/apcache"
 	"apecache/internal/coherence"
+	"apecache/internal/controlplane"
 	"apecache/internal/coopmesh"
 	"apecache/internal/httplite"
 	"apecache/internal/telemetry"
 	"apecache/internal/transport"
-	"apecache/internal/wicache"
 )
 
 func main() {
@@ -215,12 +215,12 @@ func runTrace(args []string) error {
 	return nil
 }
 
-// runFleet fetches the controller's /fleet view and renders per-AP
+// runFleet fetches the control plane's /fleet view and renders per-AP
 // health, fleet-merged latency distributions with exemplar trace IDs,
 // and the alert summary.
 func runFleet(args []string) error {
 	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:9090", "controller HTTP endpoint host:port")
+	addr := fs.String("addr", "127.0.0.1:9090", "control plane HTTP endpoint host:port")
 	raw := fs.Bool("raw", false, "print the raw JSON")
 	jsonOut := fs.Bool("json", false, "print the raw JSON (alias of -raw)")
 	if err := fs.Parse(args); err != nil {
@@ -234,7 +234,7 @@ func runFleet(args []string) error {
 		fmt.Print(string(body))
 		return nil
 	}
-	var v wicache.FleetView
+	var v controlplane.FleetView
 	if err := json.Unmarshal(body, &v); err != nil {
 		return fmt.Errorf("decode fleet view: %w", err)
 	}
@@ -281,7 +281,7 @@ func runFleet(args []string) error {
 // retained fire/resolve history.
 func runAlerts(args []string) error {
 	fs := flag.NewFlagSet("alerts", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:9090", "controller HTTP endpoint host:port")
+	addr := fs.String("addr", "127.0.0.1:9090", "control plane HTTP endpoint host:port")
 	raw := fs.Bool("raw", false, "print the raw JSON")
 	firingOnly := fs.Bool("firing", false, "only show alerts currently firing")
 	if err := fs.Parse(args); err != nil {
@@ -295,7 +295,7 @@ func runAlerts(args []string) error {
 		fmt.Print(string(body))
 		return nil
 	}
-	var payload wicache.AlertsPayload
+	var payload controlplane.AlertsPayload
 	if err := json.Unmarshal(body, &payload); err != nil {
 		return fmt.Errorf("decode alerts: %w", err)
 	}
@@ -327,7 +327,7 @@ func runAlerts(args []string) error {
 // stale that picture is.
 func runPeers(args []string) error {
 	fs := flag.NewFlagSet("peers", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:9090", "controller HTTP endpoint host:port")
+	addr := fs.String("addr", "127.0.0.1:9090", "control plane HTTP endpoint host:port")
 	raw := fs.Bool("raw", false, "print the raw JSON")
 	if err := fs.Parse(args); err != nil {
 		return err

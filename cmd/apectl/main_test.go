@@ -1,10 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"net/url"
 	"os"
 	"strings"
 	"testing"
@@ -12,55 +14,69 @@ import (
 
 	"apecache"
 	"apecache/internal/apcache"
+	"apecache/internal/cachepolicy"
 	"apecache/internal/coherence"
+	"apecache/internal/controlplane"
 	"apecache/internal/coopmesh"
 	"apecache/internal/httplite"
 	"apecache/internal/objstore"
 	"apecache/internal/telemetry"
-	"apecache/internal/wicache"
+	"apecache/internal/transport"
 )
 
-// TestViews serves the daemons' real handlers on loopback — an origin,
-// an edge with the coherence hub, an AP with the decision ledger, and a
-// controller with the fleet plane and the mesh directory — and runs
-// every apectl view against them, checking that each decodes its
-// endpoint and prints the key fields.
-func TestViews(t *testing.T) {
+var testObj = &objstore.Object{URL: "http://api.ctl.example/obj0", App: "ctl", Size: 2 << 10,
+	TTL: 10 * time.Minute, Priority: objstore.PriorityHigh}
+
+// startEdged serves on loopback what edged -fleet-port serves, wired as
+// edged wires it: an origin, the edge behind the coherence hub, and the
+// control plane, whose mesh directory the hub's purge callback
+// tombstones. It returns the hub (edge) address and the control plane.
+func startEdged(t *testing.T) (transport.Addr, *controlplane.Server) {
+	t.Helper()
 	env := apecache.RealEnv()
 	host := apecache.NewRealHost("127.0.0.1")
-	obj := &objstore.Object{URL: "http://api.ctl.example/obj0", App: "ctl", Size: 2 << 10,
-		TTL: 10 * time.Minute, Priority: objstore.PriorityHigh}
-	catalog := objstore.NewCatalog(obj)
+	catalog := objstore.NewCatalog(testObj)
 	origin := objstore.NewOriginServer(env, catalog)
 	originL, err := origin.Run(host, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer originL.Close()
+	t.Cleanup(func() { originL.Close() })
 	edge := objstore.NewEdgeCacheServer(env, host, catalog, originL.Addr())
-	hub := coherence.NewHub(env, host, func(m coherence.Msg) { edge.Invalidate(m.URL) })
+	cp := controlplane.New(env, host, telemetry.New(env), controlplane.FleetConfig{})
+	hub := coherence.NewHub(env, host, func(m coherence.Msg) {
+		edge.Invalidate(m.URL)
+		cp.Mesh().Purge(m.URL)
+	})
 	edgeL, err := host.Listen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer edgeL.Close()
+	t.Cleanup(func() { edgeL.Close() })
 	edgeSrv := httplite.NewServer(env, hub.Wrap(edge))
 	env.Go("edge", func() { edgeSrv.Serve(edgeL) })
-
-	ctl := wicache.NewController(env, host)
-	ctl.Instrument(telemetry.New(env))
-	ctl.EnableFleet(wicache.FleetConfig{})
-	ctl.EnableMesh()
-	if err := ctl.Start(freePort(t)); err != nil {
+	if err := cp.Start(freePort(t)); err != nil {
 		t.Fatal(err)
 	}
-	defer ctl.Stop()
+	t.Cleanup(cp.Stop)
+	return edgeL.Addr(), cp
+}
+
+// TestViews serves the daemons' real handlers on loopback — edged's
+// origin, edge, coherence hub and control plane, and an AP with the
+// decision ledger — and runs every apectl view against them, checking
+// that each decodes its endpoint and prints the key fields.
+func TestViews(t *testing.T) {
+	env := apecache.RealEnv()
+	host := apecache.NewRealHost("127.0.0.1")
+	obj := testObj
+	hubAddr, ctl := startEdged(t)
 
 	var ap *apcache.AP
 	for attempt := 0; ap == nil; attempt++ {
 		a := apcache.New(apcache.Config{
 			Env: env, Host: host,
-			EdgeAddr:      edgeL.Addr(),
+			EdgeAddr:      hubAddr,
 			CacheCapacity: 1 << 20,
 			Rng:           rand.New(rand.NewSource(1)),
 			DNSPort:       freePort(t),
@@ -94,7 +110,6 @@ func TestViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctlAddr := ctl.Addr().String()
-	hubAddr := edgeL.Addr().String()
 
 	for _, v := range []struct {
 		name string
@@ -116,9 +131,9 @@ func TestViews(t *testing.T) {
 		{"peers", func() error { return runPeers([]string{"-addr", ctlAddr}) },
 			[]string{"ap:test", ap.HTTPAddr().String()}},
 		{"purge", func() error {
-			return runPurge([]string{"-hub", hubAddr, "-url", obj.URL, "-version", "2"})
+			return runPurge([]string{"-hub", hubAddr.String(), "-url", obj.URL, "-version", "2"})
 		}, []string{"published"}},
-		{"bus", func() error { return runBus([]string{"-hub", hubAddr}) },
+		{"bus", func() error { return runBus([]string{"-hub", hubAddr.String()}) },
 			[]string{"subscribers   1", "published     1", "relayed       1", "fan-out       legacy"}},
 	} {
 		out := capture(t, v.run)
@@ -127,6 +142,44 @@ func TestViews(t *testing.T) {
 				t.Errorf("%s: output lacks %q:\n%s", v.name, w, out)
 			}
 		}
+	}
+}
+
+// TestHubPurgeTombstonesMesh checks edged's purge wiring: once a purge
+// is published at the hub, /mesh/lookup stops offering a peer whose
+// summary predates it.
+func TestHubPurgeTombstonesMesh(t *testing.T) {
+	hubAddr, cp := startEdged(t)
+	env := apecache.RealEnv()
+	store := cachepolicy.NewStore(env, 1<<20, 0, cachepolicy.NewLRU(), nil)
+	if err := store.Put(testObj, make([]byte, testObj.Size), 0); err != nil {
+		t.Fatal(err)
+	}
+	peer := transport.Addr{Host: "127.0.0.1", Port: 9}
+	if err := cp.Mesh().Ingest(coopmesh.BuildSummary("ap:peer", peer, store, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	lookup := func() []coopmesh.Candidate {
+		t.Helper()
+		body, err := fetch(cp.Addr().String(), coopmesh.PathLookup+"?u="+url.QueryEscape(testObj.URL)+"&from=ap:other")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cands []coopmesh.Candidate
+		if err := json.Unmarshal(body, &cands); err != nil {
+			t.Fatal(err)
+		}
+		return cands
+	}
+	if got := lookup(); len(got) != 1 || got[0].Node != "ap:peer" {
+		t.Fatalf("lookup before the purge = %+v, want ap:peer", got)
+	}
+	client := httplite.NewClient(apecache.NewRealHost("127.0.0.1"))
+	if err := coherence.Publish(client, hubAddr, coherence.Msg{URL: testObj.URL, Version: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := lookup(); len(got) != 0 {
+		t.Errorf("lookup after the purge = %+v, want no peer: the summary predates the purge", got)
 	}
 }
 

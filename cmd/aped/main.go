@@ -38,10 +38,10 @@ func main() {
 		busFlag  = flag.String("bus", "", "coherence hub host:port (default: the -edge endpoint)")
 		purgeB   = flag.Bool("purge-batch", false, "accept coalesced MsgBatch purge deliveries from a sharded hub")
 		purgeDom = flag.String("purge-domains", "", "comma-separated domain interest announced to a sharded hub (empty: receive every purge)")
-		fleet    = flag.String("fleet", "", "fleet controller host:port for telemetry snapshot pushes (empty: disabled)")
+		fleet    = flag.String("fleet", "", "control plane (edged -fleet-port) host:port for telemetry snapshot pushes (empty: disabled)")
 		snapIntv = flag.Duration("snapshot-interval", 10*time.Second, "telemetry snapshot push cadence (with -fleet)")
 		node     = flag.String("node", "", "fleet/mesh node name (default ap:<ip>:<http-port>; must be unique per AP)")
-		mesh     = flag.String("mesh", "", "mesh directory (Wi-Cache controller) host:port for cooperative peer fetch (empty: disabled)")
+		mesh     = flag.String("mesh", "", "mesh directory (edged -fleet-port) host:port for cooperative peer fetch (empty: disabled)")
 		meshIntv = flag.Duration("mesh-interval", 5*time.Second, "content summary publish cadence (with -mesh)")
 		decLog   = flag.Bool("decision-log", false, "record a cache decision ledger and serve /explain (apectl explain)")
 	)

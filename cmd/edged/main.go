@@ -2,9 +2,12 @@
 // sockets, serving a synthetic object catalog — the deployable stand-in
 // for the paper's edge desktop. aped delegates to it and APE-CACHE
 // clients fall back to it on Cache-Miss flags. The coherence hub shares
-// the edge port: origins publish purges to /_coherence/publish, APs (and
-// the Wi-Cache controller) subscribe via /_coherence/subscribe, and the
-// hub invalidates the edge's own copy before relaying.
+// the edge port: origins publish purges to /_coherence/publish, APs
+// subscribe via /_coherence/subscribe, and the hub invalidates the
+// edge's own copy before relaying. With -fleet-port, edged also runs the
+// control plane (internal/controlplane): the fleet store APs push
+// snapshots to and the mesh directory they publish summaries to. Every
+// purge the hub takes tombstones the URL in that directory.
 //
 // Usage:
 //
@@ -24,9 +27,9 @@ import (
 
 	"apecache"
 	"apecache/internal/coherence"
+	"apecache/internal/controlplane"
 	"apecache/internal/httplite"
 	"apecache/internal/objstore"
-	"apecache/internal/wicache"
 )
 
 func main() {
@@ -37,7 +40,7 @@ func main() {
 		domains    = flag.String("domains", "api.demo.example", "comma-separated object domains")
 		objects    = flag.Int("objects", 8, "objects per domain")
 		seed       = flag.Int64("seed", 1, "catalog generation seed")
-		fleetPort  = flag.Uint("fleet-port", 0, "TCP port of the fleet observability controller (0: disabled)")
+		fleetPort  = flag.Uint("fleet-port", 0, "TCP port of the control plane: fleet store and mesh directory (0: disabled)")
 		busShards  = flag.Int("bus-shards", 0, "enable the sharded, batched purge fan-out with this many domain shards (0: legacy per-delivery relay)")
 		busFlush   = flag.Duration("bus-flush", 0, "purge coalescing flush interval (with -bus-shards; 0: default)")
 		busBatch   = flag.Int("bus-batch", 0, "max purge messages per wire batch (with -bus-shards; 0: default)")
@@ -88,7 +91,16 @@ func run(ip string, edgePort, originPort, fleetPort uint16, domains []string, pe
 
 	edge := objstore.NewEdgeCacheServer(env, host, catalog, originL.Addr())
 	edge.Instrument(tel)
-	hub := coherence.NewHub(env, host, func(m coherence.Msg) { edge.Invalidate(m.URL) })
+	var cp *controlplane.Server
+	if fleetPort != 0 {
+		cp = controlplane.New(env, host, tel, controlplane.FleetConfig{})
+	}
+	hub := coherence.NewHub(env, host, func(m coherence.Msg) {
+		edge.Invalidate(m.URL)
+		if cp != nil {
+			cp.Mesh().Purge(m.URL)
+		}
+	})
 	hub.Instrument(tel)
 	var sharded *coherence.Dispatcher
 	if dispatch.Shards > 0 {
@@ -115,16 +127,13 @@ func run(ip string, edgePort, originPort, fleetPort uint16, domains []string, pe
 			cfg.Shards, coherence.DefaultWorkers, cfg.FlushInterval, cfg.MaxBatch, coherence.PathStats)
 	}
 	fmt.Printf("edged: telemetry on %s/metrics, /debug/vars, /debug/pprof, /trace\n", edgeL.Addr())
-	if fleetPort != 0 {
-		ctl := wicache.NewController(env, host)
-		ctl.Instrument(tel)
-		ctl.EnableFleet(wicache.FleetConfig{})
-		ctl.EnableMesh()
-		if err := ctl.Start(fleetPort); err != nil {
+	if cp != nil {
+		if err := cp.Start(fleetPort); err != nil {
 			return err
 		}
-		fmt.Printf("edged: fleet controller on %s (/fleet, /alerts; APs push with aped -fleet)\n", ctl.Addr())
-		fmt.Printf("edged: mesh directory on %s/mesh (APs publish with aped -mesh; inspect with apectl peers)\n", ctl.Addr())
+		defer cp.Stop()
+		fmt.Printf("edged: control plane on %s (/fleet, /alerts; APs push with aped -fleet)\n", cp.Addr())
+		fmt.Printf("edged: mesh directory on %s/mesh (APs publish with aped -mesh; inspect with apectl peers)\n", cp.Addr())
 	}
 	for _, o := range catalog.All() {
 		fmt.Printf("  %s  (%d KB, prio %d, ttl %v)\n", o.URL, o.Size>>10, o.Priority, o.TTL)

@@ -100,8 +100,8 @@ type Config struct {
 	// nodes so traces stitch together.
 	Telemetry *telemetry.Telemetry
 	// FleetAddr, when set, enables periodic telemetry snapshot pushes
-	// to the fleet controller (the wicache controller's /snapshot
-	// endpoint) so this AP appears in the fleet view. Zero disables
+	// to the control plane's /snapshot endpoint (edged -fleet-port)
+	// so this AP appears in the fleet view. Zero disables
 	// pushing; snapshot traffic is wire-visible, so experiment runs
 	// leave it off.
 	FleetAddr transport.Addr

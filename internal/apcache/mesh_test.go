@@ -9,21 +9,21 @@ import (
 	"time"
 
 	"apecache/internal/coherence"
+	"apecache/internal/controlplane"
 	"apecache/internal/httplite"
 	"apecache/internal/objstore"
 	"apecache/internal/realnet"
 	"apecache/internal/simnet"
 	"apecache/internal/transport"
 	"apecache/internal/vclock"
-	"apecache/internal/wicache"
 )
 
-// meshFixture wires two APs and a mesh-enabled controller on one LAN,
+// meshFixture wires two APs and a control plane on one LAN,
 // with the edge a long uplink away.
 type meshFixture struct {
 	sim  *vclock.Sim
 	net  *simnet.Network
-	ctl  *wicache.Controller
+	ctl  *controlplane.Server
 	aps  []*AP
 	obj  *objstore.Object
 	edge transport.Addr
@@ -54,10 +54,9 @@ func newMeshFixture(t *testing.T, sim *vclock.Sim) *meshFixture {
 		t.Fatalf("edge: %v", err)
 	}
 
-	ctl := wicache.NewController(sim, net.Node("ctl"))
-	ctl.EnableMesh()
+	ctl := controlplane.New(sim, net.Node("ctl"), nil, controlplane.FleetConfig{})
 	if err := ctl.Start(0); err != nil {
-		t.Fatalf("controller: %v", err)
+		t.Fatalf("control plane: %v", err)
 	}
 
 	f := &meshFixture{sim: sim, net: net, ctl: ctl, obj: obj,

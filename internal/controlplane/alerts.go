@@ -1,4 +1,4 @@
-package wicache
+package controlplane
 
 import (
 	"sort"
@@ -7,7 +7,7 @@ import (
 	"apecache/internal/telemetry"
 )
 
-// SLO is one fleet service-level objective evaluated by the controller
+// SLO is one fleet service-level objective evaluated by the control plane
 // with multi-window burn-rate alerting. Two forms exist:
 //
 //   - ratio: Good/Total name fully qualified counter sample keys

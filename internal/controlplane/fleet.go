@@ -1,4 +1,4 @@
-package wicache
+package controlplane
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 	"apecache/internal/vclock"
 )
 
-// FleetConfig tunes the controller's fleet observability store, which
+// FleetConfig tunes the control plane's fleet observability store, which
 // evaluates DefaultSLOs on every ingest.
 type FleetConfig struct {
 	// SnapshotInterval is the cadence APs are expected to push at; it
@@ -66,12 +66,12 @@ type FleetView struct {
 	MissCauses []FleetMissCause `json:"miss_causes,omitempty"`
 }
 
-// apState is one AP's retained telemetry at the controller.
+// apState is one AP's retained telemetry at the control plane.
 type apState struct {
 	name     string
 	seq      uint64
 	snapTime time.Time // AP-stamped snapshot time
-	recvTime time.Time // controller clock at ingest
+	recvTime time.Time // control-plane clock at ingest
 	cur      *telemetry.Snapshot
 	first    healthPoint // long-run baseline, never pruned
 	points   []healthPoint
@@ -96,7 +96,7 @@ var exemplarSpanMetric = map[string]string{
 	"delegation": "apcache_delegation_seconds",
 }
 
-// FleetStore aggregates pushed telemetry snapshots at the controller:
+// FleetStore aggregates pushed telemetry snapshots at the control plane:
 // per-AP health scores, fleet-merged latency histograms with trace
 // exemplars, stitched cross-tier traces, and SLO burn-rate alerts. It
 // has its own lock — under realnet, snapshot pushes and /fleet reads
@@ -141,7 +141,7 @@ func NewFleetStore(env vclock.Env, tel *telemetry.Telemetry, cfg FleetConfig) *F
 }
 
 // Ingest applies one pushed snapshot: updates the AP's state and health
-// history, stitches its spans into the controller tracer, refreshes
+// history, stitches its spans into the control plane's tracer, refreshes
 // exemplars, and re-evaluates every SLO. Out-of-order snapshots
 // (sequence at or below the last seen) are rejected so a delayed
 // duplicate cannot roll counters backwards.
@@ -157,7 +157,7 @@ func (f *FleetStore) Ingest(snap *telemetry.Snapshot) error {
 		f.order = append(f.order, snap.Node)
 	} else if snap.Seq <= st.seq {
 		f.rejectsC.Inc()
-		return fmt.Errorf("wicache: stale snapshot for %s: seq %d <= %d", snap.Node, snap.Seq, st.seq)
+		return fmt.Errorf("controlplane: stale snapshot for %s: seq %d <= %d", snap.Node, snap.Seq, st.seq)
 	}
 	f.ingestsC.Inc()
 	st.seq = snap.Seq
@@ -186,7 +186,7 @@ func (f *FleetStore) Ingest(snap *telemetry.Snapshot) error {
 	return nil
 }
 
-// stitchSpans records newly seen spans into the controller's tracer —
+// stitchSpans records newly seen spans into the control plane's tracer —
 // joining client, AP, edge, and origin spans of one trace ID under a
 // single ring — and harvests slow-span exemplars per latency metric.
 func (f *FleetStore) stitchSpans(snap *telemetry.Snapshot) {
@@ -333,11 +333,4 @@ func (f *FleetStore) AlertHistory() []AlertEvent {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.engine.history()
-}
-
-// APNames returns the known APs in first-seen order.
-func (f *FleetStore) APNames() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.order...)
 }

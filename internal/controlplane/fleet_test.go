@@ -1,4 +1,4 @@
-package wicache
+package controlplane
 
 import (
 	"fmt"
@@ -237,7 +237,6 @@ func TestFleetConcurrentIngestView(t *testing.T) {
 				}
 				f.Alerts()
 				f.AlertHistory()
-				f.APNames()
 			}
 		}()
 	}

@@ -1,4 +1,4 @@
-package wicache
+package controlplane
 
 import (
 	"time"

@@ -1,7 +1,7 @@
 // Package coopmesh is the AP-to-AP cooperative cache mesh: every AP
 // periodically publishes a compact summary of its cache contents (a Bloom
 // filter over the resident URL hashes plus per-domain digests) to the
-// Wi-Cache controller, which aggregates the summaries into a peer
+// control plane, which aggregates the summaries into a peer
 // directory. On a local miss an AP asks the directory which peer likely
 // holds the object and fetches it over the LAN instead of delegating to
 // the edge — cooperative caching (Atzeni et al.) with the latency-aware

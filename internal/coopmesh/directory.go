@@ -13,8 +13,8 @@ import (
 	"apecache/internal/vclock"
 )
 
-// Directory is the mesh control plane living inside the Wi-Cache
-// controller: it ingests published summaries into a peer table and
+// Directory is the mesh half of the control plane
+// (internal/controlplane): it ingests published summaries into a peer table and
 // answers "who likely holds this URL" lookups. It is deliberately
 // advisory — a stale or false-positive answer costs the requester one
 // wasted LAN round trip before the ordinary edge fallback.
@@ -23,7 +23,7 @@ type Directory struct {
 
 	mu    sync.Mutex
 	peers map[string]*peerState
-	// tombs records when the controller last saw a coherence purge for a
+	// tombs records when the directory last saw a coherence purge for a
 	// URL; summaries received at or before that instant may still claim
 	// the purged bytes, so Lookup skips those peers for the URL.
 	tombs map[string]time.Time
@@ -54,7 +54,7 @@ func NewDirectory(env vclock.Env) *Directory {
 }
 
 // Instrument registers the directory's counters and a summary-staleness
-// gauge on the controller's telemetry bundle.
+// gauge on the control plane's telemetry bundle.
 func (d *Directory) Instrument(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
@@ -84,7 +84,7 @@ func (d *Directory) Instrument(tel *telemetry.Telemetry) {
 	})
 }
 
-// Mount registers the directory's routes on a controller mux.
+// Mount registers the directory's routes on the control plane's mux.
 func (d *Directory) Mount(mux *httplite.Mux) {
 	mux.HandleFunc(PathSummary, d.handleSummary)
 	mux.HandleFunc(PathLookup, d.handleLookup)

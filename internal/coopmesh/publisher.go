@@ -24,7 +24,7 @@ type PublisherConfig struct {
 	Host     transport.Host     // local host to dial from
 	Node     string             // identity stamped on every summary
 	Addr     transport.Addr     // this AP's object-serving endpoint peers dial
-	Target   transport.Addr     // mesh directory (Wi-Cache controller) endpoint
+	Target   transport.Addr     // mesh directory (control plane) endpoint
 	Store    *cachepolicy.Store // cache to summarize
 	Interval time.Duration      // publish cadence; DefaultSummaryInterval when zero
 	// Telemetry, when set, receives publish counters and a staleness

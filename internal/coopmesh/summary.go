@@ -9,8 +9,8 @@ import (
 	"apecache/internal/transport"
 )
 
-// Directory route constants. The controller mounts them under /mesh so
-// they share the Wi-Cache controller's mux with /locate and /fleet.
+// Directory route constants. The control plane mounts them under /mesh
+// so they share its mux with /fleet and /alerts.
 const (
 	PathPrefix  = "/mesh"
 	PathSummary = PathPrefix + "/summary"

@@ -113,6 +113,31 @@ type cacheEntry struct {
 	expiry  time.Time
 }
 
+// ttlCache maps a canonical name to its RRset, kept for the minimum TTL
+// of the answers. The owner's lock guards it.
+type ttlCache map[string]cacheEntry
+
+// put caches a non-empty answer set under name as of now.
+func (c ttlCache) put(name string, answers []dnswire.RR, now time.Time) {
+	if len(answers) == 0 {
+		return
+	}
+	minTTL := answers[0].TTL
+	for _, rr := range answers {
+		minTTL = min(minTTL, rr.TTL)
+	}
+	c[name] = cacheEntry{answers: answers, expiry: now.Add(time.Duration(minTTL) * time.Second)}
+}
+
+// get returns name's answers if they are still fresh at now.
+func (c ttlCache) get(name string, now time.Time) ([]dnswire.RR, bool) {
+	e, ok := c[name]
+	if !ok || !now.Before(e.expiry) {
+		return nil, false
+	}
+	return e.answers, true
+}
+
 // Resolver is a recursive local resolver (the LDNS of Fig. 1): it owns a
 // delegation table mapping domain suffixes to authoritative servers,
 // chases CNAME chains across zones, and caches answers by TTL.
@@ -123,7 +148,7 @@ type Resolver struct {
 	// mu guards the caches and the rng: dnsd.Serve handles queries on
 	// concurrent tasks.
 	mu    sync.Mutex
-	cache map[string]cacheEntry
+	cache ttlCache
 	// negative caches NXDOMAIN results (RFC 2308 negative caching) so a
 	// misbehaving client cannot hammer the authoritative chain.
 	negative map[string]time.Time
@@ -146,7 +171,7 @@ func NewResolver(env vclock.Env, host transport.Host, rng interface{ Intn(int) i
 		env:         env,
 		host:        host,
 		rng:         rng,
-		cache:       make(map[string]cacheEntry),
+		cache:       make(ttlCache),
 		negative:    make(map[string]time.Time),
 		delegations: make(map[string]transport.Addr),
 		NegativeTTL: 30 * time.Second,
@@ -206,14 +231,14 @@ func (r *Resolver) Resolve(name string) ([]dnswire.RR, dnswire.RCode, error) {
 	r.mu.Unlock()
 	for range maxChainDepth {
 		r.mu.Lock()
-		e, ok := r.cache[current]
+		cached, ok := r.cache.get(current, r.env.Now())
 		r.mu.Unlock()
-		if ok && r.env.Now().Before(e.expiry) {
-			chain = append(chain, e.answers...)
-			if hasA(e.answers) {
+		if ok {
+			chain = append(chain, cached...)
+			if hasA(cached) {
 				return chain, dnswire.RCodeSuccess, nil
 			}
-			if cname, ok := lastCNAME(e.answers); ok {
+			if cname, ok := lastCNAME(cached); ok {
 				current = cname
 				continue
 			}
@@ -240,7 +265,9 @@ func (r *Resolver) Resolve(name string) ([]dnswire.RR, dnswire.RCode, error) {
 			}
 			return nil, resp.Header.RCode, nil
 		}
-		r.store(current, resp.Answers)
+		r.mu.Lock()
+		r.cache.put(current, resp.Answers, r.env.Now())
+		r.mu.Unlock()
 		chain = append(chain, resp.Answers...)
 		if hasA(resp.Answers) {
 			return chain, dnswire.RCodeSuccess, nil
@@ -275,25 +302,6 @@ func lastCNAME(answers []dnswire.RR) (string, bool) {
 	return "", false
 }
 
-// store caches one chain step under the minimum TTL of its answers.
-func (r *Resolver) store(name string, answers []dnswire.RR) {
-	if len(answers) == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	minTTL := answers[0].TTL
-	for _, rr := range answers {
-		if rr.TTL < minTTL {
-			minTTL = rr.TTL
-		}
-	}
-	r.cache[name] = cacheEntry{
-		answers: answers,
-		expiry:  r.env.Now().Add(time.Duration(minTTL) * time.Second),
-	}
-}
-
 // HandleDNS implements Handler.
 func (r *Resolver) HandleDNS(_ transport.Addr, query *dnswire.Message) *dnswire.Message {
 	if r.ProcessingDelay > 0 {
@@ -320,7 +328,7 @@ type Forwarder struct {
 	upstream transport.Addr
 	// mu guards the cache and rng against concurrent handler tasks.
 	mu    sync.Mutex
-	cache map[string]cacheEntry
+	cache ttlCache
 	// hits and misses count cache outcomes.
 	hits, misses atomic.Int64
 	// ProcessingDelay models dnsmasq handling cost per query.
@@ -338,7 +346,7 @@ func NewForwarder(env vclock.Env, host transport.Host, rng interface{ Intn(int) 
 		host:     host,
 		rng:      rng,
 		upstream: upstream,
-		cache:    make(map[string]cacheEntry),
+		cache:    make(ttlCache),
 	}
 }
 
@@ -352,11 +360,7 @@ func (f *Forwarder) CacheStats() (hits, misses int) {
 func (f *Forwarder) LookupCached(name string) ([]dnswire.RR, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	e, ok := f.cache[dnswire.CanonicalName(name)]
-	if !ok || !f.env.Now().Before(e.expiry) {
-		return nil, false
-	}
-	return e.answers, true
+	return f.cache.get(dnswire.CanonicalName(name), f.env.Now())
 }
 
 // ResolveUpstream queries the upstream resolver for name and caches the
@@ -370,25 +374,12 @@ func (f *Forwarder) ResolveUpstream(name string) ([]dnswire.RR, dnswire.RCode, e
 	if err != nil {
 		return nil, dnswire.RCodeServerFailure, err
 	}
-	if resp.Header.RCode == dnswire.RCodeSuccess && len(resp.Answers) > 0 {
-		f.storeAnswers(name, resp.Answers)
+	if resp.Header.RCode == dnswire.RCodeSuccess {
+		f.mu.Lock()
+		f.cache.put(dnswire.CanonicalName(name), resp.Answers, f.env.Now())
+		f.mu.Unlock()
 	}
 	return resp.Answers, resp.Header.RCode, nil
-}
-
-func (f *Forwarder) storeAnswers(name string, answers []dnswire.RR) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	minTTL := answers[0].TTL
-	for _, rr := range answers {
-		if rr.TTL < minTTL {
-			minTTL = rr.TTL
-		}
-	}
-	f.cache[dnswire.CanonicalName(name)] = cacheEntry{
-		answers: answers,
-		expiry:  f.env.Now().Add(time.Duration(minTTL) * time.Second),
-	}
 }
 
 // HandleDNS implements Handler: answer from cache or forward upstream.

@@ -21,9 +21,9 @@ func init() {
 const fleetBrownoutAP = 7
 
 // runFleetHealth boots a 16-AP fleet pushing telemetry snapshots to the
-// Wi-Cache controller, then walks three phases — warm steady state, a
+// control plane, then walks three phases — warm steady state, a
 // brownout of one AP's edge uplink (latency and bandwidth collapse plus
-// a cold-miss storm), and recovery — sampling the controller's fleet
+// a cold-miss storm), and recovery — sampling the control plane's fleet
 // view after each. The run demonstrates the control plane end to end: a
 // per-AP health score collapse confined to the browned-out AP, and a
 // multi-window burn-rate SLO alert that fires during the fault and
@@ -50,7 +50,7 @@ func runFleetHealth(cfg RunConfig) (*Result, error) {
 		}
 
 		sample := func(label string) {
-			v := f.Store.View()
+			v := f.Control.Fleet().View()
 			minScore, worst := 100.0, "-"
 			healthy, aps := 0, 0
 			for _, h := range v.APs {
@@ -95,7 +95,7 @@ func runFleetHealth(cfg RunConfig) (*Result, error) {
 		f.Drive(phase)
 		sample("recovered")
 
-		for _, ev := range f.Store.AlertHistory() {
+		for _, ev := range f.Control.Fleet().AlertHistory() {
 			res.Notes = append(res.Notes, fmt.Sprintf("%s %s %s@%s (short burn %.1f, long %.1f)",
 				ev.Time.Format("15:04:05"), ev.Event, ev.SLO, ev.Scope, ev.ShortBurn, ev.LongBurn))
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"net/url"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -21,8 +20,8 @@ import (
 //	/debug/pprof/  runtime profiles (index, named profiles, ?seconds CPU)
 //	/trace         span store: ?id=<hex> for one trace, bare for an index
 //
-// Every daemon (aped, edged, the wicache controller) calls this on the
-// same mux that serves its application routes.
+// Every daemon (aped, edged and edged's control plane) calls this on
+// the same mux that serves its application routes.
 func (t *Telemetry) Register(mux *httplite.Mux) {
 	if t == nil {
 		return
@@ -74,12 +73,9 @@ var pprofProfiles = []string{"allocs", "block", "goroutine", "heap", "mutex", "t
 // text form), and ?seconds CPU profiling. CPU profiling blocks on wall
 // time and is meant for realnet daemons.
 func handlePprof(req *httplite.Request) *httplite.Response {
-	u, err := url.Parse(req.Path)
-	if err != nil {
-		return httplite.NewResponse(400, []byte("bad path"))
-	}
-	name := strings.TrimPrefix(strings.TrimPrefix(u.Path, "/debug/pprof"), "/")
-	q := u.Query()
+	path, _, _ := strings.Cut(req.Path, "?")
+	name := strings.TrimPrefix(strings.TrimPrefix(path, "/debug/pprof"), "/")
+	q := httplite.QueryParams(req.Path)
 	switch name {
 	case "":
 		var buf bytes.Buffer
@@ -92,7 +88,7 @@ func handlePprof(req *httplite.Request) *httplite.Response {
 	case "cmdline":
 		return httplite.NewResponse(200, []byte("apecache"))
 	case "profile":
-		seconds, _ := strconv.Atoi(q.Get("seconds"))
+		seconds, _ := strconv.Atoi(q["seconds"])
 		if seconds <= 0 {
 			seconds = 1
 		}
@@ -113,10 +109,7 @@ func handlePprof(req *httplite.Request) *httplite.Response {
 		if p == nil {
 			return httplite.NewResponse(404, []byte("unknown profile "+name))
 		}
-		debug := 0
-		if q.Get("debug") != "" {
-			debug, _ = strconv.Atoi(q.Get("debug"))
-		}
+		debug, _ := strconv.Atoi(q["debug"])
 		var buf bytes.Buffer
 		if err := p.WriteTo(&buf, debug); err != nil {
 			return httplite.NewResponse(500, []byte(err.Error()))
@@ -130,12 +123,9 @@ func handlePprof(req *httplite.Request) *httplite.Response {
 }
 
 func (t *Telemetry) handleTrace(req *httplite.Request) *httplite.Response {
-	u, err := url.Parse(req.Path)
-	if err != nil {
-		return httplite.NewResponse(400, []byte("bad path"))
-	}
-	idStr := u.Query().Get("id")
+	idStr := httplite.QueryParams(req.Path)["id"]
 	var body []byte
+	var err error
 	if idStr == "" {
 		body, err = json.MarshalIndent(t.Tracer.Traces(), "", "  ")
 	} else {

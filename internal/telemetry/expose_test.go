@@ -64,13 +64,15 @@ func TestPprofEndpoints(t *testing.T) {
 	if resp.Status != 200 || !strings.Contains(string(resp.Body), "goroutine") {
 		t.Errorf("index: status=%d body=%q", resp.Status, resp.Body)
 	}
-	resp = get(mux, "/debug/pprof/goroutine?debug=1")
-	if resp.Status != 200 || !strings.Contains(string(resp.Body), "goroutine profile") {
-		t.Errorf("goroutine profile: status=%d", resp.Status)
+	for _, path := range []string{"/debug/pprof/goroutine?debug=1", "/debug/pprof/goroutine?x=y&debug=1"} {
+		resp = get(mux, path)
+		if resp.Status != 200 || !strings.Contains(string(resp.Body), "goroutine profile") || resp.Get("content-type") != "" {
+			t.Errorf("%s: status=%d content-type=%q, want the text form", path, resp.Status, resp.Get("content-type"))
+		}
 	}
 	resp = get(mux, "/debug/pprof/heap")
-	if resp.Status != 200 || len(resp.Body) == 0 {
-		t.Errorf("heap profile: status=%d len=%d", resp.Status, len(resp.Body))
+	if resp.Status != 200 || len(resp.Body) == 0 || resp.Get("content-type") != "application/octet-stream" {
+		t.Errorf("heap profile: status=%d len=%d content-type=%q", resp.Status, len(resp.Body), resp.Get("content-type"))
 	}
 	if resp := get(mux, "/debug/pprof/nosuch"); resp.Status != 404 {
 		t.Errorf("unknown profile: status=%d", resp.Status)
@@ -84,31 +86,34 @@ func TestTraceEndpoint(t *testing.T) {
 	tel.Span(id, "dns-lookup", "client", base, time.Millisecond, "")
 	tel.Span(id, "delegation", "ap", base.Add(time.Millisecond), time.Millisecond, "url=http://a/b")
 
-	resp := get(mux, "/trace?id="+id.String())
-	if resp.Status != 200 {
-		t.Fatalf("status %d: %s", resp.Status, resp.Body)
-	}
-	var spans []Span
-	if err := json.Unmarshal(resp.Body, &spans); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if len(spans) != 2 || spans[0].Name != "dns-lookup" || spans[1].Name != "delegation" {
-		t.Errorf("spans = %+v", spans)
+	for _, path := range []string{"/trace?id=" + id.String(), "/trace?x=1&id=" + id.String()} {
+		resp := get(mux, path)
+		if resp.Status != 200 {
+			t.Fatalf("%s: status %d: %s", path, resp.Status, resp.Body)
+		}
+		var spans []Span
+		if err := json.Unmarshal(resp.Body, &spans); err != nil {
+			t.Fatalf("%s: bad JSON: %v", path, err)
+		}
+		if len(spans) != 2 || spans[0].Name != "dns-lookup" || spans[1].Name != "delegation" {
+			t.Errorf("%s: spans = %+v", path, spans)
+		}
 	}
 
-	resp = get(mux, "/trace")
-	var sums []TraceSummary
-	if err := json.Unmarshal(resp.Body, &sums); err != nil {
-		t.Fatalf("bad index JSON: %v", err)
-	}
-	if len(sums) != 1 || sums[0].Spans != 2 {
-		t.Errorf("summaries = %+v", sums)
+	for _, path := range []string{"/trace", "/trace?id="} {
+		var sums []TraceSummary
+		if err := json.Unmarshal(get(mux, path).Body, &sums); err != nil {
+			t.Fatalf("%s: bad index JSON: %v", path, err)
+		}
+		if len(sums) != 1 || sums[0].Spans != 2 {
+			t.Errorf("%s: summaries = %+v", path, sums)
+		}
 	}
 
 	if resp := get(mux, "/trace?id=ffffffffffffffff"); resp.Status != 404 {
 		t.Errorf("missing trace: status=%d", resp.Status)
 	}
-	if resp := get(mux, "/trace?id=xyz"); resp.Status != 400 {
-		t.Errorf("bad id: status=%d", resp.Status)
+	if resp := get(mux, "/trace?id=xyz"); resp.Status != 400 || string(resp.Body) != "bad trace id xyz" {
+		t.Errorf("bad id: status=%d body=%q", resp.Status, resp.Body)
 	}
 }

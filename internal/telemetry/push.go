@@ -20,19 +20,19 @@ const DefaultSnapshotInterval = 10 * time.Second
 // DefaultSnapshotSpans bounds the spans included per snapshot.
 const DefaultSnapshotSpans = 64
 
-// PushConfig wires a Pusher to its bundle and its fleet controller.
+// PushConfig wires a Pusher to its bundle and the control plane.
 type PushConfig struct {
 	Env      vclock.Env     // clock and task spawner (virtual under simnet)
 	Tel      *Telemetry     // bundle to snapshot
 	Node     string         // node identity stamped on every snapshot
 	Host     transport.Host // local host to dial from
-	Target   transport.Addr // fleet controller snapshot endpoint
+	Target   transport.Addr // control plane snapshot endpoint
 	Path     string         // POST path; DefaultSnapshotPath when empty
 	Interval time.Duration  // push cadence; DefaultSnapshotInterval when zero
 }
 
 // Pusher periodically POSTs the bundle's telemetry snapshot to the
-// fleet controller. The loop runs on the env's clock, so under simnet
+// control plane. The loop runs on the env's clock, so under simnet
 // pushes land at deterministic virtual times; under realnet it is an
 // ordinary background goroutine. Push failures are counted, not fatal —
 // the fleet store tolerates missing snapshots (that is what the

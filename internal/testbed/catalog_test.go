@@ -11,6 +11,7 @@ import (
 
 	"apecache/internal/apcache"
 	"apecache/internal/coherence"
+	"apecache/internal/controlplane"
 	"apecache/internal/httplite"
 	"apecache/internal/objstore"
 	"apecache/internal/simnet"
@@ -24,7 +25,7 @@ const catalogGolden = "testdata/metric_catalog.golden"
 
 // TestMetricCatalogGolden pins the telemetry surface every daemon
 // exposes: each registry's Prometheus text, the APs' /status bodies, the
-// hub's /_coherence/stats and the controller's /fleet, after one fixed
+// hub's /_coherence/stats and the control plane's /fleet, after one fixed
 // simulated scenario that drives every instrumented component. A change
 // that is meant to leave the instruments alone (names, labels, help
 // text, values) must leave the rendering byte-identical. Families kept
@@ -56,11 +57,12 @@ func TestMetricCatalogGolden(t *testing.T) {
 	t.Logf("full rendering:\n%s", got)
 }
 
-// catalogRun builds the catalogue topology — origin, edge and a
-// dispatching hub on one bundle (as edged runs them), a Wi-Cache
-// controller with the fleet plane and the mesh directory, a Wi-Cache
-// AP, two APs with the mesh and the decision ledger on and one with
-// both off — drives the scenario and renders every pinned surface.
+// catalogRun builds the catalogue topology — origin, edge, a
+// dispatching hub and the control plane, wired as edged wires them (the
+// hub's purge callback tombstones the mesh directory), a Wi-Cache
+// controller sharing the control plane's node and bundle, a Wi-Cache AP,
+// two APs with the mesh and the decision ledger on and one with both
+// off — drives the scenario and renders every pinned surface.
 func catalogRun(t *testing.T) string {
 	t.Helper()
 	var out strings.Builder
@@ -97,7 +99,12 @@ func catalogRun(t *testing.T) string {
 		edge.Instrument(edgeTel)
 		edge.Prepopulate()
 		edge.Invalidate(objs[3].URL) // one cold object: the edge fills it from the origin
-		hub := coherence.NewHub(sim, net.Node("edge"), func(m coherence.Msg) { edge.Invalidate(m.URL) })
+		ctlTel := telemetry.New(sim)
+		cp := controlplane.New(sim, net.Node("ctl"), ctlTel, controlplane.FleetConfig{SnapshotInterval: fleetSnapshotInterval})
+		hub := coherence.NewHub(sim, net.Node("edge"), func(m coherence.Msg) {
+			edge.Invalidate(m.URL)
+			cp.Mesh().Purge(m.URL)
+		})
 		hub.Instrument(edgeTel)
 		dispatch := hub.EnableDispatch(coherence.DispatchConfig{Shards: 4})
 		defer dispatch.Stop()
@@ -112,12 +119,15 @@ func catalogRun(t *testing.T) string {
 		sim.Go("edge.server", func() { edgeSrv.Serve(edgeL) })
 		edgeAddr := transport.Addr{Host: "edge", Port: 80}
 
-		ctlTel := telemetry.New(sim)
+		if err := cp.Start(0); err != nil {
+			return err
+		}
+		defer cp.Stop()
+		// The Wi-Cache controller shares the control plane's node, on the
+		// port beside it.
 		ctl := wicache.NewController(sim, net.Node("ctl"))
 		ctl.Instrument(ctlTel)
-		ctl.EnableFleet(wicache.FleetConfig{SnapshotInterval: fleetSnapshotInterval})
-		ctl.EnableMesh()
-		if err := ctl.Start(0); err != nil {
+		if err := ctl.Start(controlplane.DefaultPort + 1); err != nil {
 			return err
 		}
 		defer ctl.Stop()
@@ -148,13 +158,13 @@ func catalogRun(t *testing.T) string {
 				HTTPProcessing:   900 * time.Microsecond,
 				Coherence:        coherence.ModeInvalidate,
 				Telemetry:        tels[i],
-				FleetAddr:        ctl.Addr(),
+				FleetAddr:        cp.Addr(),
 				SnapshotInterval: fleetSnapshotInterval,
 				NodeName:         name,
 			}
 			if full {
 				cfg.Coherence = coherence.ModeSWR
-				cfg.MeshAddr = ctl.Addr()
+				cfg.MeshAddr = cp.Addr()
 				cfg.MeshInterval = time.Second
 				cfg.DecisionLog = true
 			}
@@ -215,7 +225,8 @@ func catalogRun(t *testing.T) string {
 		}
 
 		// Purges: SWR APs serve stale and revalidate, the invalidating AP
-		// evicts, the controller tombstones and relays to the Wi-Cache AP.
+		// evicts, the hub tombstones the directory and the Wi-Cache
+		// controller relays to its AP.
 		if err := purge(objs[0]); err != nil {
 			return err
 		}
@@ -242,7 +253,7 @@ func catalogRun(t *testing.T) string {
 		if err := writeBody(&out, http, edgeAddr, coherence.PathStats); err != nil {
 			return err
 		}
-		return writeBody(&out, http, ctl.Addr(), "/fleet")
+		return writeBody(&out, http, cp.Addr(), "/fleet")
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,18 +7,18 @@ import (
 	"time"
 
 	"apecache/internal/apcache"
+	"apecache/internal/controlplane"
 	"apecache/internal/httplite"
 	"apecache/internal/objstore"
 	"apecache/internal/simnet"
 	"apecache/internal/telemetry"
 	"apecache/internal/transport"
 	"apecache/internal/vclock"
-	"apecache/internal/wicache"
 )
 
 // Cluster is a running N-AP testbed: every AP has one client over WiFi,
 // and all of them share one prepopulated edge and origin and one
-// Wi-Cache controller. The fleet and mesh testbeds are two specs of it.
+// control plane. The fleet and mesh testbeds are two specs of it.
 // Build it inside a sim task; drive traffic with Drive or DriveTicks.
 //
 // Like the fleet and mesh topologies built on it, this is separate from
@@ -29,12 +29,9 @@ type Cluster struct {
 	Sim *vclock.Sim
 	Net *simnet.Network
 
-	Controller *wicache.Controller
-	// Store is the controller's fleet store (nil without the fleet plane).
-	Store *wicache.FleetStore
-	// ControllerTel is the controller's bundle: stitched traces land in
-	// its Tracer, the fleet counters in its Metrics.
-	ControllerTel *telemetry.Telemetry
+	// Control is the control plane. With the fleet plane on, its bundle
+	// holds the stitched traces and the fleet counters.
+	Control *controlplane.Server
 
 	APs    []*apcache.AP
 	APTels []*telemetry.Telemetry
@@ -58,18 +55,17 @@ type Cluster struct {
 
 // clusterSpec describes one cluster topology as data.
 type clusterSpec struct {
-	name    string // error prefix; the controller node is name+"-ctl"
+	name    string // error prefix; the control plane node is name+"-ctl"
 	numAPs  int
 	seed    int64
-	ctlLink simnet.Path  // AP to controller
+	ctlLink simnet.Path  // AP to control plane
 	lan     *simnet.Path // AP to AP, when the APs share a LAN
 	extra   []clusterLink
 	catalog []*objstore.Object
 	// fleet runs the fleet plane: every tier pushes telemetry snapshots
-	// to the controller's fleet store, and client requests are traced.
+	// to the control plane's fleet store, and client requests are traced.
 	fleet bool
-	// mesh runs the mesh directory at the controller and wires the APs
-	// to it.
+	// mesh wires the APs to the control plane's mesh directory.
 	mesh bool
 	// bareNames names each AP's node "apNN" instead of the AP default.
 	bareNames bool
@@ -138,19 +134,15 @@ func newCluster(sim *vclock.Sim, sp clusterSpec) (*Cluster, error) {
 		return nil, fmt.Errorf("%s edge: %w", sp.name, err)
 	}
 
-	c.Controller = wicache.NewController(sim, c.Net.Node(ctlNode))
+	var ctlTel *telemetry.Telemetry
 	if sp.fleet {
-		c.ControllerTel = telemetry.New(sim)
-		c.Controller.Instrument(c.ControllerTel)
-		c.Store = c.Controller.EnableFleet(wicache.FleetConfig{SnapshotInterval: fleetSnapshotInterval})
+		ctlTel = telemetry.New(sim)
 	}
-	if sp.mesh {
-		c.Controller.EnableMesh()
+	c.Control = controlplane.New(sim, c.Net.Node(ctlNode), ctlTel, controlplane.FleetConfig{SnapshotInterval: fleetSnapshotInterval})
+	if err := c.Control.Start(0); err != nil {
+		return nil, fmt.Errorf("%s control plane: %w", sp.name, err)
 	}
-	if err := c.Controller.Start(0); err != nil {
-		return nil, fmt.Errorf("%s controller: %w", sp.name, err)
-	}
-	ctlAddr := c.Controller.Addr()
+	ctlAddr := c.Control.Addr()
 
 	for i := 0; i < sp.numAPs; i++ {
 		apCfg := apcache.Config{
@@ -187,7 +179,7 @@ func newCluster(sim *vclock.Sim, sp clusterSpec) (*Cluster, error) {
 	}
 
 	// The edge tier and the client driver push snapshots too, so their
-	// spans join stitched traces at the controller.
+	// spans join stitched traces at the control plane.
 	var err error
 	if c.edgePsh, err = c.Edge.PushSnapshots(c.Net.Node(clusterEdgeNode), ctlAddr, fleetSnapshotInterval); err != nil {
 		return nil, fmt.Errorf("%s edge pusher: %w", sp.name, err)
@@ -205,7 +197,7 @@ func newCluster(sim *vclock.Sim, sp clusterSpec) (*Cluster, error) {
 	return c, nil
 }
 
-// Stop halts pushers, APs and the controller, and reports any of their
+// Stop halts pushers, APs and the control plane, and reports any of their
 // tasks that is still live.
 func (c *Cluster) Stop() error {
 	if c.clientPsh != nil {
@@ -215,7 +207,7 @@ func (c *Cluster) Stop() error {
 	for _, ap := range c.APs {
 		ap.Stop()
 	}
-	c.Controller.Stop()
+	c.Control.Stop()
 	return leaked(c.Sim)
 }
 

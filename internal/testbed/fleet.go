@@ -11,7 +11,7 @@ import (
 )
 
 // FleetConfig assembles an N-AP fleet observability testbed: many
-// APE-CACHE APs under one Wi-Cache controller running the fleet store,
+// APE-CACHE APs under one control plane running the fleet store,
 // every tier pushing telemetry snapshots over the control channel.
 type FleetConfig struct {
 	// NumAPs is the fleet size (default 16).

@@ -7,15 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"apecache/internal/controlplane"
 	"apecache/internal/httplite"
 	"apecache/internal/vclock"
-	"apecache/internal/wicache"
 )
 
 // fleetRun boots a fleet, drives warm traffic for warm, optionally
 // browns out AP 7 for brownout then recovers for recover, and returns
 // the /fleet and /alerts response bodies plus the parsed view.
-func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Duration) (fleetBody, alertsBody string, view wicache.FleetView) {
+func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Duration) (fleetBody, alertsBody string, view controlplane.FleetView) {
 	t.Helper()
 	err := vclock.Simulate("main", func(sim *vclock.Sim) error {
 		f, err := NewFleet(sim, cfg)
@@ -31,7 +31,7 @@ func fleetRun(t *testing.T, cfg FleetConfig, warm, brownout, recover time.Durati
 			f.Drive(recover)
 		}
 		http := httplite.NewClient(f.Net.Node(clusterClientName(0)))
-		ctl := f.Controller.Addr()
+		ctl := f.Control.Addr()
 		resp, err := http.Get(ctl, ctl.Host, "/fleet")
 		if err != nil || resp.Status != 200 {
 			return fmt.Errorf("/fleet: %v (resp %+v)", err, resp)

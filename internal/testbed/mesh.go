@@ -10,7 +10,7 @@ import (
 )
 
 // MeshConfig assembles the cooperative-mesh testbed: N APE-CACHE APs on
-// one LAN, a colocated Wi-Cache controller running the mesh directory,
+// one LAN, a colocated control plane running the mesh directory,
 // and a shared content pool whose working set rotates across the APs so
 // every AP's first touch of an object is someone else's old news.
 type MeshConfig struct {
@@ -62,7 +62,7 @@ func NewMesh(sim *vclock.Sim, cfg MeshConfig) (*Cluster, error) {
 			TTL: time.Hour, Priority: objstore.PriorityHigh, OriginDelay: 5 * time.Millisecond})
 		pool = append(pool, u)
 	}
-	// One LAN: APs reach each other and the colocated controller in a
+	// One LAN: APs reach each other and the colocated control plane in a
 	// couple of milliseconds, while the edge stays a 12 ms uplink away —
 	// the gap the peer tier exists to exploit.
 	return newCluster(sim, clusterSpec{

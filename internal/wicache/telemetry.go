@@ -4,15 +4,11 @@ import (
 	"apecache/internal/telemetry"
 )
 
-// Instrument attaches the controller's counters and the
-// telemetry bundle; call it before Start so the exposition endpoints
-// (/metrics, /debug/vars, /debug/pprof, /trace) are mounted on
-// the controller's mux.
+// Instrument attaches the controller's counters to tel's registry.
 func (c *Controller) Instrument(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
 	}
-	c.tel = tel
 	m := tel.Metrics
 	m.Attach("wicache_locates_total", "", "client locate requests handled", &c.locates)
 	m.Attach("wicache_controller_purges_total", "", "bus purge messages handled", &c.purges)

@@ -1,11 +1,9 @@
 package wicache
 
 import (
-	"strings"
 	"testing"
 	"time"
 
-	"apecache/internal/httplite"
 	"apecache/internal/objstore"
 	"apecache/internal/simnet"
 	"apecache/internal/telemetry"
@@ -13,10 +11,9 @@ import (
 	"apecache/internal/vclock"
 )
 
-// TestControllerExposition checks the controller serves the telemetry
-// endpoints on its control port and counts locate traffic. Instrument
-// must run before Start (the controller registers its routes once).
-func TestControllerExposition(t *testing.T) {
+// TestControllerCountsLocates checks that an instrumented controller
+// counts locate traffic in the bundle's registry.
+func TestControllerCountsLocates(t *testing.T) {
 	sim := vclock.NewSim(time.Time{})
 	sim.Run("main", func() {
 		net := simnet.New(sim, 8)
@@ -66,21 +63,8 @@ func TestControllerExposition(t *testing.T) {
 			return
 		}
 
-		http := httplite.NewClient(net.Node("client"))
-		for _, path := range []string{"/debug/vars", "/debug/pprof", "/trace"} {
-			resp, err := http.Get(controller.Addr(), controller.Addr().Host, path)
-			if err != nil || resp.Status != 200 {
-				t.Errorf("%s: %v (status %v)", path, err, resp)
-				return
-			}
-		}
-		resp, err := http.Get(controller.Addr(), controller.Addr().Host, "/metrics")
-		if err != nil || resp.Status != 200 {
-			t.Errorf("/metrics: %v (status %v)", err, resp)
-			return
-		}
-		if !strings.Contains(string(resp.Body), "wicache_locates_total 1") {
-			t.Errorf("/metrics missing locate counter:\n%s", resp.Body)
+		if got := tel.BuildSnapshot("ec2", 0, 0).Counters["wicache_locates_total"]; got != 1 {
+			t.Errorf("wicache_locates_total = %v, want 1", got)
 		}
 	})
 	sim.Shutdown()

@@ -16,7 +16,6 @@ import (
 
 	"apecache/internal/cachepolicy"
 	"apecache/internal/coherence"
-	"apecache/internal/coopmesh"
 	"apecache/internal/dnswire"
 	"apecache/internal/httplite"
 	"apecache/internal/metrics"
@@ -81,11 +80,7 @@ type Controller struct {
 	locates     telemetry.Counter
 	purges      telemetry.Counter
 	relays      telemetry.Counter
-	tel         *telemetry.Telemetry
 	fillOrdersC *telemetry.Counter
-
-	fleet *FleetStore
-	mesh  *coopmesh.Directory
 
 	// tasks owns the fill orders in flight; Stop waits for them.
 	tasks *vclock.Group
@@ -149,88 +144,9 @@ func (c *Controller) Start(port uint16) error {
 	mux.HandleFunc("/locate", c.handleLocate)
 	mux.HandleFunc("/report", c.handleReport)
 	mux.HandleFunc(coherence.DefaultPurgePath, c.handlePurge)
-	if c.fleet != nil {
-		mux.HandleFunc(telemetry.DefaultSnapshotPath, c.handleSnapshot)
-		mux.HandleFunc("/fleet", c.handleFleet)
-		mux.HandleFunc("/alerts", c.handleAlerts)
-	}
-	if c.mesh != nil {
-		c.mesh.Mount(mux)
-	}
-	c.tel.Register(mux)
 	srv := httplite.NewServer(c.env, mux)
 	c.env.Go("wicache.controller", func() { srv.Serve(l) })
 	return nil
-}
-
-// EnableFleet attaches a fleet observability store to the controller
-// and mounts /snapshot, /fleet, and /alerts when Start runs. Call it
-// before Start; call Instrument first if stitched traces and the fleet
-// counters should land in the controller's telemetry bundle.
-func (c *Controller) EnableFleet(cfg FleetConfig) *FleetStore {
-	c.fleet = NewFleetStore(c.env, c.tel, cfg)
-	return c.fleet
-}
-
-// Fleet returns the attached fleet store, nil when fleet observability
-// is not enabled.
-func (c *Controller) Fleet() *FleetStore { return c.fleet }
-
-// EnableMesh attaches a cooperative-mesh directory to the controller and
-// mounts the /mesh routes when Start runs. Call it before Start; call
-// Instrument first if mesh counters should land in the controller's
-// telemetry bundle.
-func (c *Controller) EnableMesh() *coopmesh.Directory {
-	c.mesh = coopmesh.NewDirectory(c.env)
-	c.mesh.Instrument(c.tel)
-	return c.mesh
-}
-
-// Mesh returns the attached mesh directory, nil when the mesh is not
-// enabled.
-func (c *Controller) Mesh() *coopmesh.Directory { return c.mesh }
-
-// handleSnapshot ingests one pushed AP telemetry snapshot.
-func (c *Controller) handleSnapshot(req *httplite.Request) *httplite.Response {
-	snap, err := telemetry.DecodeSnapshot(req.Body)
-	if err != nil {
-		return httplite.NewResponse(400, []byte(err.Error()))
-	}
-	if err := c.fleet.Ingest(snap); err != nil {
-		return httplite.NewResponse(409, []byte(err.Error()))
-	}
-	return httplite.NewResponse(200, nil)
-}
-
-// handleFleet serves the fleet view as JSON.
-func (c *Controller) handleFleet(req *httplite.Request) *httplite.Response {
-	body, err := json.MarshalIndent(c.fleet.View(), "", "  ")
-	if err != nil {
-		return httplite.NewResponse(500, []byte(err.Error()))
-	}
-	resp := httplite.NewResponse(200, body)
-	resp.Set("Content-Type", "application/json")
-	return resp
-}
-
-// AlertsPayload is the /alerts response body.
-type AlertsPayload struct {
-	Alerts  []AlertStatus `json:"alerts"`
-	History []AlertEvent  `json:"history,omitempty"`
-}
-
-// handleAlerts serves alert statuses plus the transition history.
-func (c *Controller) handleAlerts(req *httplite.Request) *httplite.Response {
-	body, err := json.MarshalIndent(AlertsPayload{
-		Alerts:  c.fleet.Alerts(),
-		History: c.fleet.AlertHistory(),
-	}, "", "  ")
-	if err != nil {
-		return httplite.NewResponse(500, []byte(err.Error()))
-	}
-	resp := httplite.NewResponse(200, body)
-	resp.Set("Content-Type", "application/json")
-	return resp
 }
 
 // SubscribeBus registers the controller's /purge endpoint with the
@@ -276,11 +192,6 @@ func (c *Controller) handlePurge(req *httplite.Request) *httplite.Response {
 		}
 		delete(c.locations, msg.URL)
 		c.mu.Unlock()
-		if c.mesh != nil {
-			// Tombstone the URL in the mesh directory so lookups stop
-			// offering peers whose summaries predate the purge.
-			c.mesh.Purge(msg.URL)
-		}
 		var sent int
 		if c.relay.Sharded() {
 			// Targeted relay: only recorded holders get the purge, so relay
